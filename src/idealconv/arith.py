@@ -283,38 +283,33 @@ def gamma_tau(f: Factorization) -> GammaTau:
 # ---------------------------------------------------------------------------
 
 
-def _binom_capped(r: int, k: int, cap: int) -> int:
-    """C(r, k), or cap + 1 as soon as the (monotone) partial products pass cap."""
-    result = 1
-    for i in range(1, k + 1):
-        result = result * (r - k + i) // i
-        if result > cap:
-            return cap + 1
-    return result
-
-
 def pascal_count(n: int) -> int:
     """Number of occurrences of n in Pascal's triangle.
 
     Every n >= 3 appears as C(n,1) and C(n,n-1) (n = 2 only once, since
     those coincide).  Interior occurrences C(r,k) = n with 2 <= k <= r-2
-    are found per column k <= log2(n) by binary search over r in [2k, n]
-    (C(r,k) >= 2**k forces k <= log2 n, and r >= 2k makes each symmetric
-    pair {k, r-k} counted exactly once).  A central hit (r = 2k) counts
-    once, any other hit twice.  Exact integer arithmetic throughout, with
-    partial products capped at n.
+    are found per column k while C(2k,k) <= n, with r >= 2k so that each
+    symmetric pair {k, r-k} is counted exactly once.  The k = 2
+    column is solved in closed form, r = (1 + isqrt(8n + 1)) / 2.  Every
+    other column is a binary search over the k values of r from
+    R = iroot(n * k!, k) to R + k - 1, since (r-k+1)**k / k! <= C(r,k)
+    <= r**k / k!, so every C(r,k) evaluated stays near n.  A central hit
+    (r = 2k) counts once, any other hit twice.  Exact integer arithmetic
+    throughout.
     """
     if n < 2:
         raise InvalidArgumentError(f"pascal_count requires n >= 2, got {n}")
     total = 1 if n == 2 else 2
-    k = 2
-    while 2**k <= n:
-        if _binom_capped(2 * k, k, n) > n:
-            break  # central binomials only grow with k
-        lo, hi = 2 * k, n
+    s = math.isqrt(8 * n + 1)
+    if s * s == 8 * n + 1 and s >= 7:  # n = C(r, 2) with r = (1 + s) / 2 >= 4
+        total += 1 if s == 7 else 2
+    k = 3
+    while math.comb(2 * k, k) <= n:  # central binomials grow with k
+        root = iroot(n * math.factorial(k), k)
+        lo, hi = max(2 * k, root), k - 1 + root
         while lo <= hi:
             mid = (lo + hi) // 2
-            v = _binom_capped(mid, k, n)
+            v = math.comb(mid, k)
             if v == n:
                 total += 1 if mid == 2 * k else 2
                 break

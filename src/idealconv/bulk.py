@@ -2,11 +2,15 @@
 
 For whole-range scans (classifying every n up to 1e7, say) per-n factorization
 is far too slow in Python.  Instead each block [lo, hi) is swept once per
-prime p <= sqrt(hi): the exact exponent of p at every multiple is built with
-strided slice increments, and the running product of extracted prime powers
-exposes the (at most one) remaining prime factor > sqrt as a cofactor.  All
-heavy work is numpy slice arithmetic; the Python-level loop is only over the
-~450 primes below sqrt(1e7) per block.
+prime p <= sqrt(hi), the standard segmented-sieve idiom: every update is an
+in-place numpy operation on a strided slice view `arr[(-lo % p**k)::p**k]`,
+so no index array is built and nothing is gathered or scattered.  Counters
+get `+= 1` on each prime-power view, products get `*= p`, and the statistics
+that need the whole exponent take it from a per-prime exponent array through
+the p view.  The running product of extracted prime powers divides n, so
+`value < n` exposes the (at most one) remaining prime factor > sqrt(hi) as a
+cofactor.  The Python-level loop is only over the ~450 primes below
+sqrt(1e7) and their few powers per block.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ FIELD_NAMES = frozenset(
     {"h_min", "h_max", "omega", "big_omega", "div_count", "exp_gcd"}
 )
 
-_NO_EXPONENT = 1 << 30  # larger than any exponent of n <= 2**63
+_NO_EXPONENT = 127  # int8 h_min sentinel, above any exponent of n < 2**63
+_LIMIT_CAP = 1 << 63  # the field dtypes below are exact for n < 2**63
 
 
 def small_primes(bound: int) -> list[int]:
@@ -41,7 +46,19 @@ def small_primes(bound: int) -> list[int]:
 
 @dataclass
 class BlockStats:
-    """Exponent statistics for every n in [lo, hi)."""
+    """Exponent statistics for every n in [lo, hi).
+
+    Every array is aligned with `n` (int64); a field that was not asked for
+    is None.  Each field has the narrowest dtype exact for n < 2**63:
+
+      h_min, h_max    int8   least / greatest exponent (at most 62)
+      omega           int8   distinct prime factors (at most 15)
+      big_omega       int8   prime factors with multiplicity (at most 62)
+      div_count       int32  number of divisors (at most 103,680)
+      exp_gcd         int8   gcd of the exponents
+      ap[p]           int8   exponent of the prime p
+      smooth_ok[p0]   bool   n has no prime factor above p0
+    """
 
     lo: int
     hi: int
@@ -54,28 +71,6 @@ class BlockStats:
     exp_gcd: np.ndarray | None = None
     ap: dict[int, np.ndarray] = field(default_factory=dict)
     smooth_ok: dict[int, np.ndarray] = field(default_factory=dict)
-
-
-def _multiple_positions(lo: int, hi: int, p: int) -> np.ndarray | None:
-    """Positions (index - lo) of multiples of p in [lo, hi), or None."""
-    m0 = -(-lo // p) * p
-    if m0 >= hi:
-        return None
-    return np.arange(m0 - lo, hi - lo, p, dtype=np.int64)
-
-
-def _exponents_at_multiples(lo: int, hi: int, p: int, pos: np.ndarray) -> np.ndarray:
-    """Exact exponent of p at each multiple of p in [lo, hi), aligned with pos."""
-    e = np.ones(len(pos), dtype=np.int64)
-    m0 = lo + int(pos[0])
-    pk = p * p
-    while pk < hi:
-        m0k = -(-lo // pk) * pk
-        if m0k >= hi:
-            break
-        e[(m0k - m0) // p :: pk // p] += 1
-        pk *= p
-    return e
 
 
 def iter_blocks(
@@ -91,20 +86,24 @@ def iter_blocks(
 
     `fields` selects which statistic arrays are computed; `ap_primes` adds
     exact p-adic valuation arrays for those primes, and `smooth_bounds`
-    adds boolean is-p0-smooth masks for each bound p0.
+    adds boolean is-p0-smooth masks for each bound p0.  `limit` must be
+    below 2**63.
     """
     unknown = set(fields) - FIELD_NAMES
     if unknown:
         raise InvalidArgumentError(f"unknown bulk fields: {sorted(unknown)}")
     if start < 2:
         raise InvalidArgumentError("bulk scans start at n >= 2")
+    if limit >= _LIMIT_CAP:
+        raise InvalidArgumentError(f"bulk scans need limit < 2**63, got {limit}")
     if limit < start:
         return
     fields = frozenset(fields)
     need_full = bool(fields)
+    # fields that combine whole exponents, which a p**k view alone cannot give
+    need_exp = bool(fields & {"h_min", "h_max", "div_count", "exp_gcd"})
     primes = small_primes(math.isqrt(limit)) if need_full else []
-    max_smooth = max(smooth_bounds, default=0)
-    smooth_primes = small_primes(max_smooth) if smooth_bounds else []
+    smooth_primes = small_primes(max(smooth_bounds)) if smooth_bounds else []
     # primes the main sweep must visit
     sweep = sorted(set(primes) | set(smooth_primes) | set(ap_primes))
 
@@ -114,68 +113,87 @@ def iter_blocks(
         n_arr = np.arange(lo, hi, dtype=np.int64)
         stats = BlockStats(lo=lo, hi=hi, n=n_arr)
 
+        # running product of the prime powers found so far; it divides n
         value = np.ones(size, dtype=np.int64) if need_full else None
         if "h_min" in fields:
-            stats.h_min = np.full(size, _NO_EXPONENT, dtype=np.int64)
+            stats.h_min = np.full(size, _NO_EXPONENT, dtype=np.int8)
         if "h_max" in fields:
-            stats.h_max = np.zeros(size, dtype=np.int64)
+            stats.h_max = np.zeros(size, dtype=np.int8)
         if "omega" in fields:
-            stats.omega = np.zeros(size, dtype=np.int64)
+            stats.omega = np.zeros(size, dtype=np.int8)
         if "big_omega" in fields:
-            stats.big_omega = np.zeros(size, dtype=np.int64)
+            stats.big_omega = np.zeros(size, dtype=np.int8)
         if "div_count" in fields:
-            stats.div_count = np.ones(size, dtype=np.int64)
+            stats.div_count = np.ones(size, dtype=np.int32)
         if "exp_gcd" in fields:
-            stats.exp_gcd = np.zeros(size, dtype=np.int64)
+            stats.exp_gcd = np.zeros(size, dtype=np.int8)
         for p in ap_primes:
-            stats.ap[p] = np.zeros(size, dtype=np.int64)
+            stats.ap[p] = np.zeros(size, dtype=np.int8)
         smooth_vals = {p0: np.ones(size, dtype=np.int64) for p0 in smooth_bounds}
 
         sqrt_hi = math.isqrt(hi - 1)
         for p in sweep:
+            off = -lo % p
+            if off >= size:
+                continue
             in_main = need_full and p <= sqrt_hi
-            if not (in_main or p <= max_smooth or p in stats.ap):
-                continue
-            pos = _multiple_positions(lo, hi, p)
-            if pos is None:
-                continue
-            e = _exponents_at_multiples(lo, hi, p, pos)
-            if p in stats.ap:
-                stats.ap[p][pos] = e
-            for p0, sval in smooth_vals.items():
-                if p <= p0:
-                    sval[pos] *= np.power(p, e)
+            # counters gain 1 and products a factor p on each p**k view
+            counters = [stats.ap[p]] if p in stats.ap else []
+            products = [sval for p0, sval in smooth_vals.items() if p <= p0]
+            if in_main:
+                products.append(value)
+                if stats.big_omega is not None:
+                    counters.append(stats.big_omega)
+            # exponent of p at each multiple of p, indexed along the p view
+            e = None
+            if in_main and need_exp:
+                e = np.zeros(len(range(off, size, p)), dtype=np.int8)
+            pk, off_k = p, off
+            while off_k < size:
+                for arr in counters:
+                    view = arr[off_k::pk]
+                    view += 1
+                for arr in products:
+                    view = arr[off_k::pk]
+                    view *= p
+                if e is not None:
+                    view = e[(off_k - off) // p :: pk // p]
+                    view += 1
+                pk *= p
+                off_k = -lo % pk
             if not in_main:
                 continue
-            if stats.h_min is not None:
-                stats.h_min[pos] = np.minimum(stats.h_min[pos], e)
-            if stats.h_max is not None:
-                stats.h_max[pos] = np.maximum(stats.h_max[pos], e)
             if stats.omega is not None:
-                stats.omega[pos] += 1
-            if stats.big_omega is not None:
-                stats.big_omega[pos] += e
-            if stats.div_count is not None:
-                stats.div_count[pos] *= e + 1
+                view = stats.omega[off::p]
+                view += 1
+            if stats.h_min is not None:
+                view = stats.h_min[off::p]
+                np.minimum(view, e, out=view)
+            if stats.h_max is not None:
+                view = stats.h_max[off::p]
+                np.maximum(view, e, out=view)
             if stats.exp_gcd is not None:
-                stats.exp_gcd[pos] = np.gcd(stats.exp_gcd[pos], e)
-            value[pos] *= np.power(p, e)
+                view = stats.exp_gcd[off::p]
+                np.gcd(view, e, out=view)
+            if stats.div_count is not None:
+                view = stats.div_count[off::p]
+                view *= e + 1
 
         if need_full:
-            # cofactor is 1 or a single prime > sqrt(hi) with exponent 1
-            has_rem = n_arr // value > 1
+            # the cofactor n / value is 1 or a single prime > sqrt(hi)
+            has_rem = value < n_arr
             if stats.h_min is not None:
-                stats.h_min[has_rem] = 1
+                np.putmask(stats.h_min, has_rem, 1)
             if stats.h_max is not None:
-                stats.h_max[has_rem] = np.maximum(stats.h_max[has_rem], 1)
+                np.maximum(stats.h_max, has_rem, out=stats.h_max)
             if stats.omega is not None:
-                stats.omega[has_rem] += 1
+                stats.omega += has_rem
             if stats.big_omega is not None:
-                stats.big_omega[has_rem] += 1
+                stats.big_omega += has_rem
             if stats.div_count is not None:
-                stats.div_count[has_rem] *= 2
+                stats.div_count <<= has_rem  # doubled where the cofactor is prime
             if stats.exp_gcd is not None:
-                stats.exp_gcd[has_rem] = 1
+                np.putmask(stats.exp_gcd, has_rem, 1)
 
         for p0, sval in smooth_vals.items():
             stats.smooth_ok[p0] = sval == n_arr

@@ -11,7 +11,7 @@ verify     run the statement verification suite
 
 Output is deterministic: identical arguments produce byte-identical
 csv/json.  Exit codes: 0 success/consistent/pass, 1 inconsistent/fail,
-2 usage or data errors, 3 indeterminate.
+2 usage, data or allocation errors, 3 indeterminate.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .convergence import (
     sequence_value,
 )
 from .errors import (
+    AllocationError,
     DataFormatError,
     InsufficientDataError,
     InvalidArgumentError,
@@ -558,10 +559,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (InvalidArgumentError, DataFormatError, InsufficientDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (
+        InvalidArgumentError,
+        DataFormatError,
+        InsufficientDataError,
+        AllocationError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -415,6 +415,11 @@ def statement_suite(
                                     if len(diff):
                                         eq_witness[eps] = int(diff[0])
 
+    vi_checks = (
+        _statement_vi_checks(eps_grid, limit, cps, pascal_check_limit, pol)
+        if "VI" in stmts
+        else {}
+    )
     results: list[StatementResult] = []
     for sid in stmts:
         for eps in eps_grid:
@@ -480,9 +485,7 @@ def statement_suite(
                         )
                     )
             elif sid == "VI":
-                checks.extend(
-                    _statement_vi_checks(eps, limit, cps, pascal_check_limit, pol)
-                )
+                checks.extend(vi_checks[eps])
             else:  # VII, VIII
                 for spec in scan[sid]:
                     acc = accs[(spec.label, eps)]
@@ -555,10 +558,32 @@ def _statement_i_checks(
 
 
 def _statement_vi_checks(
-    eps: float, limit: int, cps: tuple[int, ...], pascal_check_limit: int, pol: DecayPolicy
-) -> list[CheckResult]:
+    eps_grid: tuple[float, ...],
+    limit: int,
+    cps: tuple[int, ...],
+    pascal_check_limit: int,
+    pol: DecayPolicy,
+) -> dict[float, list[CheckResult]]:
+    """Statement VI's checks for each eps; the per-n Pascal counts of the
+    membership-agreement check are computed once for the whole grid."""
     from .arith import pascal_count
 
+    check_to = min(limit, pascal_check_limit)
+    direct_counts = [pascal_count(n) for n in range(2, check_to + 1)]
+    return {
+        eps: _statement_vi_eps_checks(eps, limit, cps, check_to, direct_counts, pol)
+        for eps in eps_grid
+    }
+
+
+def _statement_vi_eps_checks(
+    eps: float,
+    limit: int,
+    cps: tuple[int, ...],
+    check_to: int,
+    direct_counts: list[int],
+    pol: DecayPolicy,
+) -> list[CheckResult]:
     members = _pascal_members(eps, limit)
     counts = np.searchsorted(members, np.asarray(cps), side="right")
     rows = []
@@ -605,10 +630,9 @@ def _statement_vi_checks(
                 details="skipped: range below three decades for a decay verdict",
             )
         )
-    check_to = min(limit, pascal_check_limit)
     if check_to >= 2:
         direct = [
-            n for n in range(2, check_to + 1) if abs(pascal_count(n) - 2) >= eps
+            n for n, c in enumerate(direct_counts, start=2) if abs(c - 2) >= eps
         ]
         enum = [int(v) for v in members if v <= check_to]
         same = direct == enum

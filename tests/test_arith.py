@@ -183,6 +183,16 @@ def test_pascal_count_matches_rowscan():
         assert pascal_count(n) == table[n], n
 
 
+@pytest.mark.parametrize(
+    "n,count",
+    [(3003, 8), (120, 6), (210, 6), (1540, 6), (7140, 6), (11628, 6), (24310, 6)],
+)
+def test_pascal_count_known_multiplicities(n, count):
+    # Singmaster, Amer. Math. Monthly 78 (1971): 3003 is the only number
+    # known to occur eight times; these six occur six times each
+    assert pascal_count(n) == count
+
+
 def test_pascal_count_rejects_small_n():
     with pytest.raises(InvalidArgumentError):
         pascal_count(1)

@@ -1,0 +1,99 @@
+"""Block sieve against trial factorization, at every block size and start."""
+
+import math
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from idealconv.bulk import FIELD_NAMES, iter_blocks
+from idealconv.errors import InvalidArgumentError
+
+from oracles import trial_factorize
+
+TOP = 20_000
+# 2, 3 and 7 divide often; 131 sits just under sqrt(TOP) and 1009 above it
+AP_PRIMES = (2, 3, 7, 131, 1009)
+# 211 is a smooth bound above sqrt(TOP), swept only for the smooth masks
+SMOOTH_BOUNDS = (2, 3, 7, 211)
+
+
+def expected(n: int) -> dict:
+    """Every field, ap array and smooth mask of iter_blocks at n."""
+    f = trial_factorize(n)
+    exps = [e for _, e in f]
+    row = {
+        "h_min": min(exps),
+        "h_max": max(exps),
+        "omega": len(f),
+        "big_omega": sum(exps),
+        "div_count": math.prod(e + 1 for e in exps),
+        "exp_gcd": math.gcd(*exps),
+    }
+    powers = dict(f)
+    for p in AP_PRIMES:
+        row[f"ap[{p}]"] = powers.get(p, 0)
+    for b in SMOOTH_BOUNDS:
+        row[f"smooth_ok[{b}]"] = f[-1][0] <= b
+    return row
+
+
+@lru_cache(maxsize=None)
+def oracle_columns() -> dict[str, np.ndarray]:
+    rows = [expected(n) for n in range(2, TOP + 1)]
+    return {key: np.array([r[key] for r in rows]) for key in rows[0]}
+
+
+def scanned(limit: int, **kwargs) -> dict[str, np.ndarray]:
+    """iter_blocks over [start, limit], every block checked to be the next
+    one and every column joined across blocks."""
+    start = kwargs.get("start", 2)
+    parts: dict[str, list[np.ndarray]] = {}
+    lo = start
+    for stats in iter_blocks(
+        limit, ap_primes=AP_PRIMES, smooth_bounds=SMOOTH_BOUNDS, **kwargs
+    ):
+        assert stats.lo == lo and stats.n[0] == lo and len(stats.n) == stats.hi - lo
+        lo = stats.hi
+        cols = {name: getattr(stats, name) for name in FIELD_NAMES}
+        cols.update({f"ap[{p}]": a for p, a in stats.ap.items()})
+        cols.update({f"smooth_ok[{b}]": m for b, m in stats.smooth_ok.items()})
+        for key, arr in cols.items():
+            parts.setdefault(key, []).append(arr)
+    assert lo == limit + 1
+    return {key: np.concatenate(arrs) for key, arrs in parts.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    block_size=st.integers(1, 4097),
+    start=st.integers(2, 97),
+    blocks=st.integers(1, 64),
+)
+@example(block_size=4097, start=2, blocks=5)
+@example(block_size=1, start=2, blocks=64)
+@example(block_size=1 << 20, start=97, blocks=1)
+def test_blocks_match_trial_factorization(block_size, start, blocks):
+    limit = min(TOP, start - 1 + block_size * blocks)
+    got = scanned(limit, block_size=block_size, start=start)
+    want = oracle_columns()
+    assert got.keys() == want.keys()
+    for key, col in want.items():
+        np.testing.assert_array_equal(got[key], col[start - 2 : limit - 1], err_msg=key)
+
+
+def test_block_near_two_to_the_36():
+    # 2**36 has exponent 36; 2**36 - 1 has 512 divisors and 8 prime factors
+    lo, hi = 2**36 - 8, 2**36 + 8
+    got = scanned(hi, start=lo)
+    rows = [expected(n) for n in range(lo, hi + 1)]
+    for key in rows[0]:
+        np.testing.assert_array_equal(got[key], [r[key] for r in rows], err_msg=key)
+    assert got["h_max"].max() == 36 and got["div_count"].max() == 512
+
+
+def test_limit_from_two_to_the_63_is_rejected():
+    with pytest.raises(InvalidArgumentError, match="2\\*\\*63"):
+        next(iter_blocks(2**63))

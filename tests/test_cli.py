@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from idealconv import arith
 from idealconv.cli import main
+from idealconv.errors import AllocationError
 
 from oracles import power_term
 
@@ -303,6 +305,34 @@ def test_verify_single_statement(capsys):
 def test_verify_unknown_statement(capsys):
     code, _, err = run(capsys, "verify", "--suite", "IX", "--limit", "100000")
     assert code == 2 and "unknown statements" in err
+
+
+# ---------------------------------------------------------------------------
+# limits the program cannot serve
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("aeps", "--seq", "omega", "--eps", "0.5", "--remark"),
+        ("verify",),
+    ],
+)
+def test_limit_from_two_to_the_63_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv, "--limit", str(2**63))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "2**63" in err and err.count("\n") == 1
+
+
+def test_allocation_failure_exits_2(capsys, monkeypatch):
+    def refuse(limit):
+        raise AllocationError(4 * (limit + 1))
+
+    monkeypatch.setattr(arith, "build_factor_table", refuse)
+    code, out, err = run(capsys, "fn", "omega", "3000000000")
+    assert code == 2 and out == ""
+    assert err == "error: failed to allocate 12000000004 bytes for factor table\n"
 
 
 # ---------------------------------------------------------------------------
