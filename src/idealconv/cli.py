@@ -368,6 +368,10 @@ def _cmd_aeps(args) -> int:
     spec = sequence_spec(
         _SEQ_BY_NAME[args.seq], p=args.p if args.seq == "ap" else None
     )
+    # a count report scans only to its last checkpoint, which can sit below
+    # 2**63 when --limit does not, so check the limit itself
+    if args.limit >= 2**63:
+        raise InvalidArgumentError(f"aeps needs --limit < 2**63, got {args.limit}")
     if args.remark:
         report = remark_limsup(spec, args.eps, args.limit)
         head = [

@@ -7,15 +7,18 @@ those sets, counts them against analytic envelopes, and measures the
 limsup of log k / log n_k along their elements.
 
 Bulk scans go through `bulk.iter_blocks`, so membership over ranges like
-[2, 10**7] costs one sieve pass.
+[2, 10**7] costs one sieve pass; `deviation` is the one membership test.
+A `Tally` is the running state of one exceptional set across a scan: the
+count A(x) at each checkpoint and the ratio rows at k = 1, 2, 4, ...  Count
+reports, limsup reports and the statement suite all read their numbers off
+tallies, and `envelope_rows` is the one envelope comparison.  The scalar
+`sequence_value` path over a factor table is the reference oracle.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -23,7 +26,6 @@ import numpy as np
 from . import arith
 from .bulk import BlockStats, iter_blocks, small_primes
 from .errors import InvalidArgumentError
-from .exponent import ExponentEstimate, IdealVerdict
 from .sets import Checkpoints, IntegerSet
 
 __all__ = [
@@ -34,30 +36,21 @@ __all__ = [
     "sequence_values",
     "exceptional_set",
     "exceptional_members",
+    "deviation",
     "smooth_bound_for",
     "envelope_value",
     "default_envelope",
-    "envelope_check",
+    "envelope_rows",
     "ENVELOPE_KINDS",
     "CountRow",
     "ExceptionalReport",
     "count_report",
     "RatioRow",
+    "Tally",
     "LimsupReport",
     "remark_limsup",
 ]
 
-
-def _as_limit(table_or_limit) -> int:
-    """Accept a factor table (anything with an integer `limit`) or a bare
-    integer bound; bulk scans only need the bound."""
-    limit = getattr(table_or_limit, "limit", table_or_limit)
-    try:
-        return operator.index(limit)
-    except TypeError:
-        raise InvalidArgumentError(
-            f"expected a factor table or integer limit, got {table_or_limit!r}"
-        ) from None
 
 _LOG2 = math.log(2)
 _NORMAL_LOGLOG = 1 + _LOG2  # normal value of loglog f(n) / loglog n
@@ -160,14 +153,9 @@ def sequence_value(spec: SequenceSpec, n: int, table: arith.FactorTable) -> floa
 
 def sequence_values(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
     """x_n for every n in a stats block (indices below start_n give garbage;
-    mask them out with `n >= spec.start_n`)."""
+    `deviation` blanks them)."""
     key = spec.key
-    n = stats.n
-    if key == "pascal_count":
-        return np.array(
-            [float(arith.pascal_count(int(v))) for v in n], dtype=np.float64
-        )
-    ln_n = np.log(n.astype(np.float64))
+    ln_n = np.log(stats.n.astype(np.float64))
     if key == "min_exponent_over_log":
         return stats.h_min / ln_n
     if key == "max_exponent_over_log":
@@ -188,7 +176,7 @@ def sequence_values(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
             return np.log(0.5 * stats.div_count * ln_n) / lnln_n
         if key == "loglog_fstar":
             return np.log((0.5 * stats.div_count - 1.0) * ln_n) / lnln_n
-    raise InvalidArgumentError(f"unknown sequence {key!r}")
+    raise InvalidArgumentError(f"no bulk values for {key!r}; use exceptional_members")
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +210,21 @@ def _pascal_members(eps: float, limit: int) -> np.ndarray:
     return np.array(members, dtype=np.int64)
 
 
+def deviation(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
+    """|x_n - L| for every n in a block, and 0 for n < start_n, so that
+    `deviation(spec, stats) >= eps` is the block's membership mask."""
+    dev = np.abs(sequence_values(spec, stats) - spec.limit_value)
+    dev[: max(0, spec.start_n - stats.lo)] = 0.0
+    return dev
+
+
 def exceptional_members(
-    spec: SequenceSpec, eps: float, table, block_size: int = 1 << 20
+    spec: SequenceSpec, eps: float, limit: int, block_size: int = 1 << 20
 ) -> Iterator[np.ndarray]:
     """Members of the exceptional set in [start_n, limit], one sorted array
-    per sieve block.  `table` may be a factor table or an integer limit."""
+    per sieve block."""
     if eps <= 0:
         raise InvalidArgumentError(f"tolerance eps must be positive, got {eps}")
-    limit = _as_limit(table)
     if limit < spec.start_n:
         return
     if spec.key == "pascal_count":
@@ -246,32 +241,20 @@ def exceptional_members(
         block_size=block_size,
         start=spec.start_n,
     ):
-        values = sequence_values(spec, stats)
-        mask = np.abs(values - spec.limit_value) >= eps
-        if stats.lo < spec.start_n:
-            mask[: spec.start_n - stats.lo] = False
-        hit = stats.n[mask]
+        hit = stats.n[deviation(spec, stats) >= eps]
         if len(hit):
             yield hit
 
 
-def exceptional_set(spec: SequenceSpec, eps: float, table) -> IntegerSet:
-    """The exceptional set at tolerance eps, truncated to [2, limit].
-
-    `table` may be a factor table or an integer limit.
-    """
-    limit = _as_limit(table)
+def exceptional_set(spec: SequenceSpec, eps: float, limit: int) -> IntegerSet:
+    """The exceptional set at tolerance eps, truncated to [2, limit]."""
 
     def gen() -> Iterator[int]:
         for block in exceptional_members(spec, eps, limit):
             for v in block:
                 yield int(v)
 
-    return IntegerSet(
-        gen(),
-        label=f"exceptional({spec.label},eps={eps:g})",
-        describe=f"n <= {limit} with |{spec.label}(n) - {spec.limit_value:g}| >= {eps:g}",
-    )
+    return IntegerSet(gen(), label=f"exceptional({spec.label},eps={eps:g})")
 
 
 def smooth_bound_for(eps: float) -> int | None:
@@ -356,29 +339,34 @@ class CountRow:
     ratio: float | None  # count / envelope
 
 
+def envelope_rows(
+    kind: str | None, eps: float, p: int | None, xs, counts
+) -> list[CountRow]:
+    """A(x) at each x against the named envelope.
+
+    The envelope and ratio columns are blank when `kind` is None, and for
+    the perfect_power bound below x = 4, where it is not stated.
+    """
+    rows = []
+    for x, c in zip(xs, counts):
+        env = None
+        if kind is not None and (kind != "perfect_power" or x >= 4):
+            env = envelope_value(kind, x, eps, p)
+        rows.append(CountRow(x, c, env, (c / env) if env else None))
+    return rows
+
+
 @dataclass(frozen=True)
 class ExceptionalReport:
     spec: SequenceSpec
     eps: float
     envelope_kind: str | None
     rows: tuple[CountRow, ...]
-    lambda_estimate: ExponentEstimate | None = None
-    verdicts: tuple[IdealVerdict, ...] = ()
 
     @property
     def envelope_ok(self) -> bool:
         """True when every counted value sits under its envelope."""
         return all(r.envelope is None or r.count <= r.envelope for r in self.rows)
-
-    def with_analysis(
-        self,
-        lambda_estimate: ExponentEstimate | None = None,
-        verdicts: tuple[IdealVerdict, ...] = (),
-    ) -> "ExceptionalReport":
-        """Copy of the report with exponent/ideal analysis attached."""
-        return dataclasses.replace(
-            self, lambda_estimate=lambda_estimate, verdicts=tuple(verdicts)
-        )
 
     def to_records(self) -> list[dict]:
         return [
@@ -392,6 +380,71 @@ class ExceptionalReport:
             }
             for r in self.rows
         ]
+
+
+@dataclass(frozen=True)
+class RatioRow:
+    k: int
+    member: int
+    ratio: float  # log k / log n_k
+
+
+@dataclass
+class Tally:
+    """Running state of one exceptional set across a scan.
+
+    Members arrive block by block in increasing order.  `counts[i]` is
+    A(checkpoints[i]) once the scan has passed that checkpoint, and `rows`
+    holds log k / log n_k at k = 1, 2, 4, ...
+    """
+
+    checkpoints: tuple[int, ...] = ()
+    counts: list[int] = field(default_factory=list)
+    rows: list[RatioRow] = field(default_factory=list)
+    total: int = 0
+    last_member: int = 0
+
+    def absorb(self, members: np.ndarray, upto: int) -> None:
+        """Take the next sorted members, all below `upto`, and count every
+        pending checkpoint below `upto`."""
+        cps = self.checkpoints
+        while len(self.counts) < len(cps) and cps[len(self.counts)] < upto:
+            x = cps[len(self.counts)]
+            self.counts.append(
+                self.total + int(np.searchsorted(members, x, side="right"))
+            )
+        k = 1 << len(self.rows)
+        while k <= self.total + len(members):
+            nk = int(members[k - self.total - 1])
+            self.rows.append(RatioRow(k, nk, math.log(k) / math.log(nk)))
+            k *= 2
+        if len(members):
+            self.last_member = int(members[-1])
+        self.total += len(members)
+
+    def final_rows(self) -> list[RatioRow]:
+        """`rows`, plus the row at the final member when it is not there."""
+        rows = list(self.rows)
+        if self.total >= 1 and (not rows or rows[-1].k != self.total):
+            ratio = math.log(self.total) / math.log(self.last_member)
+            rows.append(RatioRow(self.total, self.last_member, ratio))
+        return rows
+
+
+def _tally(
+    spec: SequenceSpec,
+    eps: float,
+    limit: int,
+    block_size: int,
+    checkpoints: tuple[int, ...] = (),
+) -> Tally:
+    """The tally of the exceptional set over [start_n, limit]."""
+    tally = Tally(checkpoints)
+    for block in exceptional_members(spec, eps, limit, block_size=block_size):
+        tally.absorb(block, int(block[-1]) + 1)
+    # checkpoints past the last member
+    tally.absorb(np.empty(0, dtype=np.int64), limit + 1)
+    return tally
 
 
 def count_report(
@@ -409,55 +462,10 @@ def count_report(
     kind = default_envelope(spec) if envelope == "auto" else envelope
     if kind is not None:
         _check_envelope_kind(spec, kind)
-    limit = checkpoints.values[-1]
-    rows: list[CountRow] = []
-    total = 0
-    targets = list(checkpoints.values)
-    ti = 0
-
-    def flush(upto: int, block: np.ndarray | None, base: int) -> None:
-        nonlocal ti
-        while ti < len(targets) and targets[ti] < upto:
-            x = targets[ti]
-            c = base + (
-                int(np.searchsorted(block, x, side="right")) if block is not None else 0
-            )
-            env = None
-            if kind is not None and (kind != "perfect_power" or x >= 4):
-                env = envelope_value(kind, x, eps, spec.p)
-            rows.append(CountRow(x, c, env, (c / env) if env else None))
-            ti += 1
-
-    for block in exceptional_members(spec, eps, limit, block_size=block_size):
-        flush(int(block[0]), None, total)  # checkpoints before this block
-        flush(int(block[-1]) + 1, block, total)
-        total += len(block)
-    flush(limit + 1, None, total)
+    xs = checkpoints.values
+    tally = _tally(spec, eps, xs[-1], block_size, xs)
+    rows = envelope_rows(kind, eps, spec.p, xs, tally.counts)
     return ExceptionalReport(spec=spec, eps=eps, envelope_kind=kind, rows=tuple(rows))
-
-
-def envelope_check(report: ExceptionalReport, kind: str) -> ExceptionalReport:
-    """Re-evaluate a report's rows against the named envelope.
-
-    Returns a copy whose envelope/ratio columns come from `kind`; the
-    perfect_power bound is left blank below x = 4, where it is not stated.
-    A kind that does not bound the report's sequence raises.
-    """
-    _check_envelope_kind(report.spec, kind)
-    rows = []
-    for r in report.rows:
-        env = None
-        if kind != "perfect_power" or r.x >= 4:
-            env = envelope_value(kind, r.x, report.eps, report.spec.p)
-        rows.append(CountRow(r.x, r.count, env, (r.count / env) if env else None))
-    return dataclasses.replace(report, envelope_kind=kind, rows=tuple(rows))
-
-
-@dataclass(frozen=True)
-class RatioRow:
-    k: int
-    member: int
-    ratio: float  # log k / log n_k
 
 
 @dataclass(frozen=True)
@@ -482,30 +490,14 @@ class LimsupReport:
 
 
 def remark_limsup(
-    spec: SequenceSpec, eps: float, table, block_size: int = 1 << 20
+    spec: SequenceSpec, eps: float, limit: int, block_size: int = 1 << 20
 ) -> LimsupReport:
     """log k / log n_k sampled at k = 1, 2, 4, 8, ... plus the final member.
 
     When the exceptional set has exponent 1 this ratio climbs toward 1;
     the report makes that visible without materializing the set.  The k = 1
-    row is always 0 (log 1 = 0).  `table` may be a factor table or an
-    integer limit.
+    row is always 0 (log 1 = 0).
     """
-    limit = _as_limit(table)
-    rows: list[RatioRow] = []
-    total = 0
-    target = 1
-    last_member = 0
-    for block in exceptional_members(spec, eps, limit, block_size=block_size):
-        m = len(block)
-        while target <= total + m:
-            nk = int(block[target - total - 1])
-            rows.append(RatioRow(target, nk, math.log(target) / math.log(nk)))
-            target *= 2
-        total += m
-        last_member = int(block[-1])
-    if total >= 1 and (not rows or rows[-1].k != total):
-        rows.append(
-            RatioRow(total, last_member, math.log(total) / math.log(last_member))
-        )
-    return LimsupReport(spec=spec, eps=eps, limit=limit, total=total, rows=tuple(rows))
+    tally = _tally(spec, eps, limit, block_size)
+    rows = tuple(tally.final_rows())
+    return LimsupReport(spec=spec, eps=eps, limit=limit, total=tally.total, rows=rows)

@@ -316,14 +316,15 @@ def classify_rows_leq(
     q: float,
     xs: list[int],
     counts: list[int],
-    deltas: tuple[float, ...],
+    deltas: tuple[float, ...] | None,
     policy: DecayPolicy,
 ) -> IdealVerdict:
-    """Verdict for "exponent at most q" from precomputed counts."""
+    """Verdict for "exponent at most q" from precomputed counts; deltas=None
+    means the default grid."""
     evidence: list[EvidenceRow] = []
     all_decay = True
     any_grow = False
-    for d in deltas:
+    for d in _leq_deltas(q, deltas):
         ratios = [c / x ** (q + d) for x, c in zip(xs, counts)]
         evidence.extend(
             EvidenceRow(d, x, c, r) for x, c, r in zip(xs, counts, ratios)
@@ -354,14 +355,15 @@ def classify_rows_less(
     q: float,
     xs: list[int],
     counts: list[int],
-    deltas: tuple[float, ...],
+    deltas: tuple[float, ...] | None,
     policy: DecayPolicy,
 ) -> IdealVerdict:
-    """Verdict for "exponent below q" from precomputed counts."""
+    """Verdict for "exponent below q" from precomputed counts; deltas=None
+    means the default grid."""
     evidence: list[EvidenceRow] = []
     witness: float | None = None
     grow_delta: float | None = None
-    for d in deltas:
+    for d in _less_deltas(q, deltas):
         ratios = [c / x ** (q - d) for x, c in zip(xs, counts)]
         evidence.extend(
             EvidenceRow(d, x, c, r) for x, c, r in zip(xs, counts, ratios)
@@ -473,7 +475,7 @@ def chain_report(
     pol = policy or DecayPolicy()
     counts = _counts_at(a, cp)
     verdicts = [
-        classify_rows_leq(a.label, q, list(cp.values), counts, _leq_deltas(q, None), pol)
+        classify_rows_leq(a.label, q, list(cp.values), counts, None, pol)
         for q in q_grid
     ]
     seen_consistent = False

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, TextIO
 import numpy as np
 
 from .arith import iroot, is_prime
+from .bulk import small_primes
 from .errors import DataFormatError, InsufficientDataError, InvalidArgumentError
 
 __all__ = [
@@ -44,11 +45,10 @@ class IntegerSet:
     monotonicity is enforced on pull so a buggy construction fails fast.
     """
 
-    def __init__(self, source: Iterable[int], label: str = "set", describe: str = ""):
+    def __init__(self, source: Iterable[int], label: str = "set"):
         self._it: Iterator[int] | None = iter(source)
         self._buf: list[int] = []
         self.label = label
-        self.describe = describe or label
 
     # -- internal -----------------------------------------------------------
 
@@ -250,7 +250,7 @@ def power_set(s: float | Fraction) -> IntegerSet:
         src = gen_exact(frac.numerator, frac.denominator)
     else:
         src = gen_float()
-    return IntegerSet(src, label=f"power({sf:g})", describe=f"floor(n**(1/{sf:g}))")
+    return IntegerSet(src, label=f"power({sf:g})")
 
 
 def logpower_set(q: float) -> IntegerSet:
@@ -273,11 +273,7 @@ def logpower_set(q: float) -> IntegerSet:
             yield int(np.floor(v)) + 1
             n += 1
 
-    return IntegerSet(
-        gen(),
-        label=f"logpower({q:g})",
-        describe=f"floor(n**(1/{q:g}) * log(n+1)**(2/{q:g})) + 1",
-    )
+    return IntegerSet(gen(), label=f"logpower({q:g})")
 
 
 def smooth_set(primes: Iterable[int]) -> IntegerSet:
@@ -303,7 +299,7 @@ def smooth_set(primes: Iterable[int]) -> IntegerSet:
                 heapq.heappush(heap, (v * ps[j], j))
 
     label = "smooth({})".format(",".join(str(p) for p in ps))
-    return IntegerSet(gen(), label=label, describe=f"{ps}-smooth numbers")
+    return IntegerSet(gen(), label=label)
 
 
 def naturals() -> IntegerSet:
@@ -313,37 +309,25 @@ def naturals() -> IntegerSet:
             yield n
             n += 1
 
-    return IntegerSet(gen(), label="naturals", describe="all positive integers")
+    return IntegerSet(gen(), label="naturals")
 
 
 def primes_set() -> IntegerSet:
-    """The primes, via an unbounded segmented sieve."""
+    """The primes, via an unbounded segmented sieve seeded by `small_primes`."""
 
     def gen() -> Iterator[int]:
-        yield 2
-        yield 3
-        base = [2, 3]
-        lo, width = 5, 1 << 16
+        lo, width = 2, 1 << 16
         while True:
             hi = lo + width
-            top = math.isqrt(hi - 1)
-            while base[-1] < top:  # extend the seed primes as needed
-                c = base[-1] + 2
-                while any(c % p == 0 for p in base if p * p <= c):
-                    c += 2
-                base.append(c)
             seg = np.ones(width, dtype=bool)
-            for p in base:
-                if p * p >= hi:
-                    break
-                first = max(p * p, -(-lo // p) * p)
-                seg[first - lo :: p] = False
+            for p in small_primes(math.isqrt(hi - 1)):
+                seg[max(p * p, -(-lo // p) * p) - lo :: p] = False
             for off in np.flatnonzero(seg):
                 yield lo + int(off)
             lo = hi
             width = min(width * 2, 1 << 22)
 
-    return IntegerSet(gen(), label="primes", describe="the prime numbers")
+    return IntegerSet(gen(), label="primes")
 
 
 def union(a: IntegerSet, b: IntegerSet) -> IntegerSet:
@@ -365,11 +349,7 @@ def union(a: IntegerSet, b: IntegerSet) -> IntegerSet:
                 va = next(ia, None)
                 vb = next(ib, None)
 
-    return IntegerSet(
-        gen(),
-        label=f"union({a.label},{b.label})",
-        describe=f"union of {a.describe} and {b.describe}",
-    )
+    return IntegerSet(gen(), label=f"union({a.label},{b.label})")
 
 
 def scale(a: IntegerSet, k: int) -> IntegerSet:
@@ -381,8 +361,7 @@ def scale(a: IntegerSet, k: int) -> IntegerSet:
         for v in a:
             yield k * v
 
-    return IntegerSet(gen(), label=f"scale({a.label},{k})",
-                      describe=f"{k} * ({a.describe})")
+    return IntegerSet(gen(), label=f"scale({a.label},{k})")
 
 
 def from_iterable(values: Iterable[int], label: str = "explicit") -> IntegerSet:

@@ -5,7 +5,11 @@ or two arithmetic sequences: a smooth-containment property, a closed-form
 counting envelope, membership evidence for a growth ideal, or a full-exponent
 limsup.  `statement_suite` runs the whole battery from a single block-sieve
 pass over [2, limit], so the 10**7-scale run costs one scan regardless of
-how many statements and tolerances are enabled.
+how many statements and tolerances are enabled.  The pass feeds one
+`convergence.Tally` per (sequence, eps) and one per smooth bound of
+statement I; the checks read counts and ratio rows off those tallies.
+Statement VI takes the Pascal members from `exceptional_members`, which
+enumerates Pascal's triangle instead of scanning.
 
 Statement identifiers (I .. VIII) index the suite's own checklist:
 
@@ -31,19 +35,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import FactorTable
 from .bulk import iter_blocks, small_primes
 from .convergence import (
     SequenceSpec,
-    _pascal_members,
-    envelope_value,
+    Tally,
+    deviation,
+    envelope_rows,
+    exceptional_members,
     required_fields,
     sequence_spec,
-    sequence_values,
     smooth_bound_for,
 )
 from .errors import InvalidArgumentError
-from .exponent import DecayPolicy, Verdict, _leq_deltas, _less_deltas, classify_rows_leq, classify_rows_less
+from .exponent import DecayPolicy, Verdict, classify_rows_leq, classify_rows_less
 from .sets import Checkpoints
 
 __all__ = [
@@ -123,33 +127,14 @@ class SuiteReport:
 
 
 @dataclass
-class _Acc:
-    """Counting state for one (sequence, eps) pair across the scan."""
+class _TrendTally(Tally):
+    """A tally that also keeps the peak of log k / log n_k in each geometric
+    k-bucket, for the decade peak step that statements VII and VIII report."""
 
-    spec: SequenceSpec
-    eps: float
-    counts: np.ndarray  # per checkpoint, -1 until that block is seen
-    total: int = 0
-    target: int = 1  # next k at which to record a limsup row
-    rows: list[tuple[int, int, float]] = field(default_factory=list)
-    last_member: int = 0
-    violations: list[tuple[int, float]] = field(default_factory=list)
-    # max of log k / log n_k per geometric k-bucket, for the trend statistic
     peaks: dict[int, float] = field(default_factory=dict)
 
-    def absorb(self, members: np.ndarray, lo: int, hi: int, cps: tuple[int, ...]):
-        for i, x in enumerate(cps):
-            if lo <= x < hi:
-                self.counts[i] = self.total + int(
-                    np.searchsorted(members, x, side="right")
-                )
+    def absorb(self, members: np.ndarray, upto: int) -> None:
         m = len(members)
-        while self.target <= self.total + m:
-            nk = int(members[self.target - self.total - 1])
-            self.rows.append(
-                (self.target, nk, math.log(self.target) / math.log(nk))
-            )
-            self.target *= 2
         if m:
             ks = np.arange(self.total + 1, self.total + m + 1, dtype=np.float64)
             ratios = np.log(ks) / np.log(members.astype(np.float64))
@@ -158,8 +143,7 @@ class _Acc:
             for b, r in zip(buckets[starts], np.maximum.reduceat(ratios, starts)):
                 if r > self.peaks.get(int(b), -1.0):
                     self.peaks[int(b)] = float(r)
-            self.last_member = int(members[-1])
-        self.total += m
+        super().absorb(members, upto)
 
     def peak_step(self) -> float | None:
         """Final-decade peak of log k / log n_k minus the previous decade's.
@@ -179,18 +163,6 @@ class _Acc:
         if not cur or not prev:
             return None
         return max(cur) - max(prev)
-
-    def final_rows(self) -> list[tuple[int, int, float]]:
-        rows = list(self.rows)
-        if self.total >= 1 and (not rows or rows[-1][0] != self.total):
-            rows.append(
-                (
-                    self.total,
-                    self.last_member,
-                    math.log(self.total) / math.log(self.last_member),
-                )
-            )
-        return rows
 
 
 def _count_bound(x: int, primes: list[int]) -> float:
@@ -222,30 +194,27 @@ def _verdict_check(name: str, verdict_obj, want=Verdict.CONSISTENT) -> CheckResu
 
 
 def _envelope_check(
-    label: str, kind: str, eps: float, cps: tuple[int, ...], counts: np.ndarray, p: int | None
+    label: str, kind: str, eps: float, cps: tuple[int, ...], counts: list[int],
+    p: int | None,
 ) -> CheckResult:
-    rows = []
-    ok = True
-    worst = 0.0
-    for x, c in zip(cps, counts):
-        if kind == "perfect_power" and x < 4:
-            continue
-        env = envelope_value(kind, x, eps, p)
-        good = c <= env
-        ok = ok and good
-        worst = max(worst, c / env)
-        rows.append({"x": int(x), "count": int(c), "envelope": env, "ok": bool(good)})
+    rows = envelope_rows(kind, eps, p, cps, counts)
+    rows = [r for r in rows if r.envelope is not None]
+    ok = [r.count <= r.envelope for r in rows]
+    worst = max((r.ratio for r in rows), default=0.0)
     return CheckResult(
         name=f"envelope[{label}]",
-        passed=bool(ok),
+        passed=all(ok),
         blocking=True,
         details=f"count <= envelope at {len(rows)} checkpoints; max ratio {worst:.3g}",
-        rows=tuple(rows),
+        rows=tuple(
+            {"x": r.x, "count": r.count, "envelope": r.envelope, "ok": good}
+            for r, good in zip(rows, ok)
+        ),
     )
 
 
-def _limsup_check(label: str, acc: _Acc, eps: float) -> CheckResult:
-    rows = acc.final_rows()
+def _limsup_check(label: str, tally: _TrendTally, eps: float) -> CheckResult:
+    rows = tally.final_rows()
     blocking = eps <= _REMARK_BLOCKING_MAX_EPS
     if not rows:
         return CheckResult(
@@ -254,22 +223,22 @@ def _limsup_check(label: str, acc: _Acc, eps: float) -> CheckResult:
             blocking=blocking,
             details="exceptional set empty in range",
         )
-    final = rows[-1][2]
+    final = rows[-1].ratio
     ok = final >= _REMARK_BAR
     # The peak step is reported but never blocks: the curve scallops where
     # the membership threshold crosses an integer, so whether one decade's
     # peak tops the last depends on where the scan happens to stop.
-    step = acc.peak_step()
+    step = tally.peak_step()
     trend = f"; decade peak step {step:+.4f}" if step is not None else ""
     return CheckResult(
         name=f"limsup[{label}]",
         passed=ok or not blocking,
         blocking=blocking,
         details=(
-            f"log k/log n_k reaches {final:.3f} at k={rows[-1][0]} "
+            f"log k/log n_k reaches {final:.3f} at k={rows[-1].k} "
             f"(bar {_REMARK_BAR:g}){trend}"
         ),
-        rows=tuple({"k": k, "member": n, "ratio": r} for k, n, r in rows),
+        rows=tuple({"k": r.k, "member": r.member, "ratio": r.ratio} for r in rows),
     )
 
 
@@ -300,7 +269,7 @@ def _scan_specs(statements: tuple[str, ...]) -> dict[str, list[SequenceSpec]]:
 
 
 def statement_suite(
-    table: FactorTable | int,
+    limit: int,
     checkpoints: Checkpoints | None = None,
     eps_grid: tuple[float, ...] = (0.25, 0.5, 1.0),
     statements: tuple[str, ...] | None = None,
@@ -310,10 +279,8 @@ def statement_suite(
 ) -> SuiteReport:
     """Run the verification checklist over [2, limit].
 
-    `table` may be a FactorTable (its limit bounds the scan) or a bare limit.
     Individual check failures are collected in the report, never raised.
     """
-    limit = table.limit if isinstance(table, FactorTable) else int(table)
     if limit < 10**4:
         raise InvalidArgumentError(
             f"suite needs at least four decades of range, got limit={limit}"
@@ -349,21 +316,19 @@ def statement_suite(
             smooth_bounds[eps] = smooth_bound_for(eps)
     bounds = tuple(sorted({b for b in smooth_bounds.values() if b is not None}))
 
-    accs: dict[tuple[str, float], _Acc] = {}
-    smooth_counts = {b: np.full(len(cps), -1, dtype=np.int64) for b in bounds}
-    smooth_totals = {b: 0 for b in bounds}
-    eq_ok: dict[float, bool] = {eps: True for eps in eps_grid}
-    eq_witness: dict[float, int | None] = {eps: None for eps in eps_grid}
-    for specs in scan.values():
+    # one tally per (sequence, eps) and one per smooth bound
+    tallies: dict[tuple[str, float], Tally] = {}
+    for sid, specs in scan.items():
+        kind = _TrendTally if sid in ("VII", "VIII") else Tally
         for spec in specs:
             for eps in eps_grid:
-                accs[(spec.label, eps)] = _Acc(
-                    spec=spec,
-                    eps=eps,
-                    counts=np.full(len(cps), -1, dtype=np.int64),
-                )
+                tallies[(spec.label, eps)] = kind(cps)
+    smooth = {b: Tally(cps) for b in bounds}
+    violations: dict[float, list[tuple[int, float]]] = {eps: [] for eps in eps_grid}
+    eq_ok: dict[float, bool] = {eps: True for eps in eps_grid}
+    eq_witness: dict[float, int | None] = {eps: None for eps in eps_grid}
 
-    if scan or bounds:
+    if scan:
         for stats in iter_blocks(
             limit,
             frozenset(fields),
@@ -371,40 +336,25 @@ def statement_suite(
             smooth_bounds=bounds,
             block_size=block_size,
         ):
-            lo, hi = stats.lo, stats.hi
-            for b in bounds:
-                mask = stats.smooth_ok[b]
-                vals = stats.n[mask]
-                for i, x in enumerate(cps):
-                    if lo <= x < hi:
-                        # +1 accounts for n = 1, smooth by convention
-                        smooth_counts[b][i] = (
-                            smooth_totals[b]
-                            + int(np.searchsorted(vals, x, side="right"))
-                            + 1
-                        )
-                smooth_totals[b] += len(vals)
+            for b, tally in smooth.items():
+                tally.absorb(stats.n[stats.smooth_ok[b]], stats.hi)
             gamma_members: dict[float, np.ndarray] = {}
             for sid, specs in scan.items():
                 for spec in specs:
-                    values = sequence_values(spec, stats)
+                    dev = deviation(spec, stats)
                     for eps in eps_grid:
-                        mask = np.abs(values - spec.limit_value) >= eps
-                        if lo < spec.start_n:
-                            mask[: spec.start_n - lo] = False
+                        mask = dev >= eps
                         members = stats.n[mask]
-                        acc = accs[(spec.label, eps)]
-                        acc.absorb(members, lo, hi, cps)
+                        tallies[(spec.label, eps)].absorb(members, stats.hi)
                         if sid == "I":
                             b = smooth_bounds[eps]
                             bad = (
                                 mask & ~stats.smooth_ok[b] if b is not None else mask
                             )
-                            if bad.any() and len(acc.violations) < 5:
+                            vio = violations[eps]  # dev is x_n itself, as L = 0
+                            if bad.any() and len(vio) < 5:
                                 for idx in np.flatnonzero(bad)[:5]:
-                                    acc.violations.append(
-                                        (int(stats.n[idx]), float(values[idx]))
-                                    )
+                                    vio.append((int(stats.n[idx]), float(dev[idx])))
                         if sid == "IV":
                             gamma_members[eps] = members
                         elif sid == "V" and eps in gamma_members:
@@ -427,47 +377,42 @@ def statement_suite(
             if sid == "I":
                 checks.extend(
                     _statement_i_checks(
-                        accs, smooth_bounds, smooth_counts, eps, xs, pol
+                        tallies, smooth_bounds, smooth, violations[eps], eps, xs, pol
                     )
                 )
             elif sid == "II":
-                acc = accs[("max_exponent_over_log", eps)]
+                key = "max_exponent_over_log"
+                counts = tallies[(key, eps)].counts
                 checks.append(
-                    _envelope_check("max_exponent", "max_exponent", eps, cps, acc.counts, None)
+                    _envelope_check(
+                        "max_exponent", "max_exponent", eps, cps, counts, None
+                    )
                 )
                 checks.append(
                     _verdict_check(
-                        "ideal-fit",
-                        classify_rows_less(
-                            acc.spec.label, 1.0, xs, list(acc.counts), _less_deltas(1.0, None), pol
-                        ),
+                        "ideal-fit", classify_rows_less(key, 1.0, xs, counts, None, pol)
                     )
                 )
             elif sid == "III":
                 for p in (2, 3):
-                    acc = accs[(f"valuation_scaled(p={p})", eps)]
+                    key = f"valuation_scaled(p={p})"
+                    counts = tallies[(key, eps)].counts
                     checks.append(
                         _envelope_check(
-                            f"valuation p={p}", "prime_valuation", eps, cps, acc.counts, p
+                            f"valuation p={p}", "prime_valuation", eps, cps, counts, p
                         )
                     )
-                    v = classify_rows_less(
-                        acc.spec.label, 1.0, xs, list(acc.counts), _less_deltas(1.0, None), pol
-                    )
-                    chk = _verdict_check(f"ideal-fit[p={p}]", v)
-                    checks.append(chk)
+                    v = classify_rows_less(key, 1.0, xs, counts, None, pol)
+                    checks.append(_verdict_check(f"ideal-fit[p={p}]", v))
             elif sid in ("IV", "V"):
                 key = "power_rep_count" if sid == "IV" else "power_rep_weight"
-                acc = accs[(key, eps)]
+                counts = tallies[(key, eps)].counts
                 checks.append(
-                    _envelope_check("power", "perfect_power", eps, cps, acc.counts, None)
+                    _envelope_check("power", "perfect_power", eps, cps, counts, None)
                 )
                 checks.append(
                     _verdict_check(
-                        "ideal-fit",
-                        classify_rows_leq(
-                            acc.spec.label, 0.5, xs, list(acc.counts), _leq_deltas(0.5, None), pol
-                        ),
+                        "ideal-fit", classify_rows_leq(key, 0.5, xs, counts, None, pol)
                     )
                 )
                 if "IV" in stmts and "V" in stmts:
@@ -488,8 +433,8 @@ def statement_suite(
                 checks.extend(vi_checks[eps])
             else:  # VII, VIII
                 for spec in scan[sid]:
-                    acc = accs[(spec.label, eps)]
-                    checks.append(_limsup_check(spec.key, acc, eps))
+                    tally = tallies[(spec.label, eps)]
+                    checks.append(_limsup_check(spec.key, tally, eps))
             passed = all(c.passed for c in checks if c.blocking)
             results.append(
                 StatementResult(
@@ -502,16 +447,16 @@ def statement_suite(
 
 
 def _statement_i_checks(
-    accs, smooth_bounds, smooth_counts, eps, xs, pol
+    tallies, smooth_bounds, smooth, vio, eps, xs, pol
 ) -> list[CheckResult]:
-    acc = accs[("min_exponent_over_log", eps)]
+    key = "min_exponent_over_log"
+    tally = tallies[(key, eps)]
     b = smooth_bounds[eps]
-    vio = acc.violations
     if b is None:
         detail = (
             "no prime has 1/log p >= eps, so the exceptional set must be empty"
         )
-        ok = acc.total == 0
+        ok = tally.total == 0
     else:
         detail = f"every member is {b}-smooth (largest prime with 1/log p >= eps)"
         ok = not vio
@@ -530,17 +475,16 @@ def _statement_i_checks(
         primes = small_primes(b)
         rows = []
         all_ok = True
-        for x, c in zip(xs, smooth_counts[b]):
+        # +1 counts n = 1, smooth by convention
+        for x, c in zip(xs, smooth[b].counts):
             bound = _count_bound(x, primes)
-            good = c <= bound
+            good = c + 1 <= bound
             all_ok = all_ok and good
-            rows.append(
-                {"x": int(x), "smooth_count": int(c), "bound": bound, "ok": bool(good)}
-            )
+            rows.append({"x": x, "smooth_count": c + 1, "bound": bound, "ok": good})
         checks.append(
             CheckResult(
                 name="count-bound",
-                passed=bool(all_ok),
+                passed=all_ok,
                 blocking=True,
                 details=f"smooth counts under prod(log x/log p + 1) for primes <= {b}",
                 rows=tuple(rows),
@@ -548,10 +492,7 @@ def _statement_i_checks(
         )
     checks.append(
         _verdict_check(
-            "ideal-fit",
-            classify_rows_leq(
-                acc.spec.label, 0.25, xs, list(acc.counts), _leq_deltas(0.25, None), pol
-            ),
+            "ideal-fit", classify_rows_leq(key, 0.25, xs, tally.counts, None, pol)
         )
     )
     return checks
@@ -584,7 +525,10 @@ def _statement_vi_eps_checks(
     direct_counts: list[int],
     pol: DecayPolicy,
 ) -> list[CheckResult]:
-    members = _pascal_members(eps, limit)
+    pascal = sequence_spec("pascal_count")
+    members = np.concatenate(
+        [np.empty(0, dtype=np.int64), *exceptional_members(pascal, eps, limit)]
+    )
     counts = np.searchsorted(members, np.asarray(cps), side="right")
     rows = []
     sup_ratio = 0.0
@@ -616,7 +560,7 @@ def _statement_vi_eps_checks(
                     0.5,
                     list(vi_cp.values),
                     vi_counts,
-                    _leq_deltas(0.5, None),
+                    None,
                     pol,
                 ),
             )

@@ -317,6 +317,7 @@ def test_verify_unknown_statement(capsys):
     [
         ("aeps", "--seq", "omega", "--eps", "0.5", "--remark"),
         ("verify",),
+        ("aeps", "--seq", "h", "--eps", "0.5"),
     ],
 )
 def test_limit_from_two_to_the_63_exits_2(capsys, argv):

@@ -1,0 +1,51 @@
+"""CLI output pinned byte for byte against committed golden files.
+
+Each file under tests/golden/ is the stdout of `idealconv` for one argument
+list in GOLDEN.  The files were written at commit 7a92f98 with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+which rewrites them from the source tree on the path.  A change that moves
+any byte of csv or json output fails here; regenerate only when the output
+is meant to change, and say why in CHANGES.md.
+"""
+
+import contextlib
+import io
+import pathlib
+
+import pytest
+
+from idealconv.cli import main
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+_AEPS = ("aeps", "--eps", "0.5", "--limit", "100000", "--output", "json")
+_SEQS = ("h", "H", "gamma", "tau", "N", "omega", "bigomega", "logf", "logfstar")
+
+# file name -> argv
+GOLDEN = {
+    "verify.json": ("verify", "--limit", "100000", "--output", "json"),
+    **{f"aeps_{s}.json": (*_AEPS, "--seq", s) for s in _SEQS},
+    **{f"aeps_{s}_remark.json": (*_AEPS, "--seq", s, "--remark") for s in _SEQS},
+    "aeps_ap_p3.csv": ("aeps", "--seq", "ap", "--p", "3", "--eps", "0.5", "--output", "csv"),
+}
+
+
+def _stdout(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(list(argv))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_output_matches_golden(name):
+    want = (GOLDEN_DIR / name).read_bytes()
+    assert _stdout(GOLDEN[name]).encode() == want
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in GOLDEN.items():
+        (GOLDEN_DIR / name).write_bytes(_stdout(argv).encode())
