@@ -247,14 +247,12 @@ def exceptional_members(
 
 
 def exceptional_set(spec: SequenceSpec, eps: float, limit: int) -> IntegerSet:
-    """The exceptional set at tolerance eps, truncated to [2, limit]."""
-
-    def gen() -> Iterator[int]:
-        for block in exceptional_members(spec, eps, limit):
-            for v in block:
-                yield int(v)
-
-    return IntegerSet(gen(), label=f"exceptional({spec.label},eps={eps:g})")
+    """The exceptional set at tolerance eps, truncated to [2, limit]; each
+    sieve block's members are one chunk."""
+    return IntegerSet(
+        (block.tolist() for block in exceptional_members(spec, eps, limit)),
+        label=f"exceptional({spec.label},eps={eps:g})",
+    )
 
 
 def smooth_bound_for(eps: float) -> int | None:

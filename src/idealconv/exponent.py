@@ -22,8 +22,10 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InsufficientDataError, InvalidArgumentError
-from .sets import Checkpoints, IntegerSet
+from .sets import CHUNK, Checkpoints, IntegerSet
 
 __all__ = [
     "Trend",
@@ -80,6 +82,27 @@ class ExponentEstimate:
     trend: Trend
 
 
+def _logs(values) -> np.ndarray:
+    # math.log, not np.log, whose last bit differs from libm on some values
+    return np.fromiter(map(math.log, values), dtype=np.float64, count=len(values))
+
+
+def _slopes(prefix: list[int], start: int, stop: int) -> np.ndarray:
+    """The clipped secant slopes of `estimate_lambda` at n in [start, stop),
+    2 <= start < stop <= len(prefix) + 1; logs are taken at these indices
+    and their isqrt anchors only."""
+    lo0, hi0 = math.isqrt(start), math.isqrt(stop - 1) + 1
+    # isqrt(n) - lo0; a float64 square root floors exactly below 2**52
+    at0 = np.sqrt(np.arange(start, stop)).astype(np.int64) - lo0
+    log_n0 = _logs(range(lo0, hi0))[at0]
+    log_a0 = _logs(prefix[lo0 - 1 : hi0 - 1])[at0]
+    den = _logs(prefix[start - 1 : stop - 1]) - log_a0
+    slope = np.divide(
+        _logs(range(start, stop)) - log_n0, den, out=np.ones_like(den), where=den > 0
+    )
+    return np.clip(slope, 0.0, 1.0)
+
+
 def estimate_lambda(
     a: IntegerSet, terms: int = 10_000, tail_fraction: float = 0.2
 ) -> ExponentEstimate:
@@ -105,27 +128,15 @@ def estimate_lambda(
             f"tail_fraction must be in (0, 1], got {tail_fraction}"
         )
     prefix = a.prefix(terms)
-    logs = [math.log(v) if v > 1 else 0.0 for v in prefix]
-
-    def ratio(n: int) -> float:
-        n0 = max(1, math.isqrt(n))
-        if n0 >= n:
-            n0 = n - 1
-        den = logs[n - 1] - logs[n0 - 1]
-        if den <= 0.0:  # a_n0 == 1 == a_n impossible; defensive only
-            return 1.0
-        slope = (math.log(n) - math.log(n0)) / den
-        return min(max(slope, 0.0), 1.0)
-
     lo = max(2, math.ceil((1 - tail_fraction) * terms))
-    value = max(ratio(n) for n in range(lo, terms + 1))
-
-    samples = []
-    n = 2
-    while n < terms:
-        samples.append((n, ratio(n)))
-        n *= 2
-    samples.append((terms, ratio(terms)))
+    value = float(
+        max(
+            _slopes(prefix, n, min(n + CHUNK, terms + 1)).max()
+            for n in range(lo, terms + 1, CHUNK)
+        )
+    )
+    marks = [1 << k for k in range(1, (terms - 1).bit_length())] + [terms]
+    samples = [(n, float(_slopes(prefix, n, n + 1)[0])) for n in marks]
 
     tail = [r for _, r in samples[-8:]]
     diffs = [b - a_ for a_, b in zip(tail, tail[1:])]

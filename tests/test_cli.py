@@ -326,6 +326,37 @@ def test_limit_from_two_to_the_63_exits_2(capsys, argv):
     assert err.startswith("error: ") and "2**63" in err and err.count("\n") == 1
 
 
+# one input per error class that reaches main() on the set path
+@pytest.mark.parametrize(
+    "argv,content,message",
+    [
+        (("--power", "2"), None, "power exponent must be in (0, 1], got 2"),
+        (
+            ("--power", "0.0007", "--terms", "3000"),
+            None,
+            "power(0.0007): term 2835 exceeds the long double range",
+        ),
+        (("--file", "{path}"), None, "No such file or directory"),
+        (("--file", "{path}"), "1\n2\nthree\n", "values.txt:3: not an integer: 'three'"),
+        (
+            ("--file", "{path}", "--terms", "500"),
+            "".join(f"{i}\n" for i in range(1, 151)),
+            "only 150 elements available, 500 requested",
+        ),
+    ],
+    ids=["InvalidArgumentError", "InvalidArgumentError-overflow", "OSError", "DataFormatError", "InsufficientDataError"],
+)
+def test_set_path_errors_exit_2(capsys, tmp_path, argv, content, message):
+    path = tmp_path / "values.txt"
+    if content is not None:
+        path.write_text(content)
+    argv = [arg.format(path=path) for arg in argv]
+    code, out, err = run(capsys, "lambda", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_allocation_failure_exits_2(capsys, monkeypatch):
     def refuse(limit):
         raise AllocationError(4 * (limit + 1))

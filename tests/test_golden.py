@@ -1,7 +1,8 @@
 """CLI output pinned byte for byte against committed golden files.
 
 Each file under tests/golden/ is the stdout of `idealconv` for one argument
-list in GOLDEN.  The files were written at commit 7a92f98 with
+list in GOLDEN.  The verify and aeps files were written at commit 7a92f98,
+the lambda, construct and classify files at commit 4330b07, with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -29,6 +30,24 @@ GOLDEN = {
     **{f"aeps_{s}.json": (*_AEPS, "--seq", s) for s in _SEQS},
     **{f"aeps_{s}_remark.json": (*_AEPS, "--seq", s, "--remark") for s in _SEQS},
     "aeps_ap_p3.csv": ("aeps", "--seq", "ap", "--p", "3", "--eps", "0.5", "--output", "csv"),
+    "lambda_power_3_4.json": ("lambda", "--power", "3/4", "--terms", "100000", "--output", "json"),
+    "lambda_power_0.25.json": ("lambda", "--power", "0.25", "--terms", "100000", "--output", "json"),
+    "lambda_power_0.7071.json": (
+        "lambda", "--power", "0.7071", "--terms", "20000", "--output", "json",
+    ),
+    "lambda_logpower_0.3.json": (
+        "lambda", "--logpower", "0.3", "--terms", "50000", "--output", "json",
+    ),
+    "lambda_smooth_2_3_5.json": (
+        "lambda", "--smooth", "2,3,5", "--terms", "20000", "--output", "json",
+    ),
+    "construct_power_2_3.txt": ("construct", "--power", "2/3", "--terms", "5000"),
+    "classify_power_1_2_leq.json": (
+        "classify", "--power", "1/2", "--ideal", "leq", "--q", "0.5", "--output", "json",
+    ),
+    "classify_smooth_2_3_less.csv": (
+        "classify", "--smooth", "2,3", "--ideal", "less", "--q", "0.25", "--output", "csv",
+    ),
 }
 
 
