@@ -334,13 +334,15 @@ def iroot(x: int, k: int) -> int:
         return x
     if k == 2:
         return math.isqrt(x)
+    # start at or above the floor root: the float root is within 2**-44 of
+    # the root (relative), so a 2**-40 margin covers it; past float range,
+    # a power of two
     try:
-        r = int(x ** (1.0 / k))
+        r = int(x ** (1.0 / k) * (1 + 2.0**-40))
     except OverflowError:
         r = 1 << -(-x.bit_length() // k)
-    r = max(r, 1)
+    # Newton steps from above never undershoot the floor root (AM-GM) and
+    # strictly descend until r**k <= x, where r is the floor root
     while r**k > x:
         r = (r * (k - 1) + x // r ** (k - 1)) // k
-    while (r + 1) ** k <= x:
-        r += 1
     return r

@@ -11,18 +11,27 @@ the p view.  The running product of extracted prime powers divides n, so
 `value < n` exposes the (at most one) remaining prime factor > sqrt(hi) as a
 cofactor.  The Python-level loop is only over the ~450 primes below
 sqrt(1e7) and their few powers per block.
+
+`exp_gcd` is not swept: the gcd of n's exponents is the largest k with n a
+perfect k-th power, so it is written at the k-th powers m**k in the block,
+whose bases m come from integer roots of the block's ends.  Blocks hold
+BLOCK integers, so every field array is at most 1 MB, small enough for the
+allocator to reuse from block to block (the cache-sized segments of Bays &
+Hudson, *BIT* 17, 1977).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from .arith import iroot
 from .errors import InvalidArgumentError
 
-__all__ = ["BlockStats", "iter_blocks", "small_primes"]
+__all__ = ["BLOCK", "BlockStats", "iter_blocks", "small_primes"]
 
 FIELD_NAMES = frozenset(
     {"h_min", "h_max", "omega", "big_omega", "div_count", "exp_gcd"}
@@ -30,6 +39,7 @@ FIELD_NAMES = frozenset(
 
 _NO_EXPONENT = 127  # int8 h_min sentinel, above any exponent of n < 2**63
 _LIMIT_CAP = 1 << 63  # the field dtypes below are exact for n < 2**63
+BLOCK = 1 << 17  # integers per block: an int64 array of it is 1 MB
 
 
 def small_primes(bound: int) -> list[int]:
@@ -72,6 +82,29 @@ class BlockStats:
     ap: dict[int, np.ndarray] = field(default_factory=dict)
     smooth_ok: dict[int, np.ndarray] = field(default_factory=dict)
 
+    @cached_property
+    def ln_n(self) -> np.ndarray:
+        """log n, computed once per block for every sequence that reads it."""
+        return np.log(self.n.astype(np.float64))
+
+    @cached_property
+    def lnln_n(self) -> np.ndarray:
+        """log log n, likewise once per block."""
+        return np.log(self.ln_n)
+
+
+def _exp_gcd(lo: int, hi: int) -> np.ndarray:
+    """gcd of the exponents of every n in [lo, hi): the largest k such that
+    n is a perfect k-th power, written at m**k for ascending k."""
+    out = np.ones(hi - lo, dtype=np.int8)
+    k = 2
+    while 1 << k <= hi - 1:
+        m_lo, m_hi = iroot(lo - 1, k) + 1, iroot(hi - 1, k)
+        if m_lo <= m_hi:
+            out[np.arange(m_lo, m_hi + 1, dtype=np.int64) ** k - lo] = k
+        k += 1
+    return out
+
 
 def iter_blocks(
     limit: int,
@@ -79,7 +112,7 @@ def iter_blocks(
     *,
     ap_primes: tuple[int, ...] = (),
     smooth_bounds: tuple[int, ...] = (),
-    block_size: int = 1 << 20,
+    block_size: int = BLOCK,
     start: int = 2,
 ):
     """Yield BlockStats covering [start, limit] in consecutive blocks.
@@ -99,9 +132,10 @@ def iter_blocks(
     if limit < start:
         return
     fields = frozenset(fields)
-    need_full = bool(fields)
+    # fields the prime sweep fills; exp_gcd comes from the perfect powers
+    need_full = bool(fields - {"exp_gcd"})
     # fields that combine whole exponents, which a p**k view alone cannot give
-    need_exp = bool(fields & {"h_min", "h_max", "div_count", "exp_gcd"})
+    need_exp = bool(fields & {"h_min", "h_max", "div_count"})
     primes = small_primes(math.isqrt(limit)) if need_full else []
     smooth_primes = small_primes(max(smooth_bounds)) if smooth_bounds else []
     # primes the main sweep must visit
@@ -126,7 +160,7 @@ def iter_blocks(
         if "div_count" in fields:
             stats.div_count = np.ones(size, dtype=np.int32)
         if "exp_gcd" in fields:
-            stats.exp_gcd = np.zeros(size, dtype=np.int8)
+            stats.exp_gcd = _exp_gcd(lo, hi)
         for p in ap_primes:
             stats.ap[p] = np.zeros(size, dtype=np.int8)
         smooth_vals = {p0: np.ones(size, dtype=np.int64) for p0 in smooth_bounds}
@@ -172,9 +206,6 @@ def iter_blocks(
             if stats.h_max is not None:
                 view = stats.h_max[off::p]
                 np.maximum(view, e, out=view)
-            if stats.exp_gcd is not None:
-                view = stats.exp_gcd[off::p]
-                np.gcd(view, e, out=view)
             if stats.div_count is not None:
                 view = stats.div_count[off::p]
                 view *= e + 1
@@ -192,8 +223,6 @@ def iter_blocks(
                 stats.big_omega += has_rem
             if stats.div_count is not None:
                 stats.div_count <<= has_rem  # doubled where the cofactor is prime
-            if stats.exp_gcd is not None:
-                np.putmask(stats.exp_gcd, has_rem, 1)
 
         for p0, sval in smooth_vals.items():
             stats.smooth_ok[p0] = sval == n_arr

@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from . import arith
-from .bulk import BlockStats, iter_blocks, small_primes
+from .bulk import BLOCK, BlockStats, iter_blocks, small_primes
 from .errors import InvalidArgumentError
 from .sets import Checkpoints, IntegerSet
 
@@ -155,19 +155,19 @@ def sequence_values(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
     """x_n for every n in a stats block (indices below start_n give garbage;
     `deviation` blanks them)."""
     key = spec.key
-    ln_n = np.log(stats.n.astype(np.float64))
+    if key == "power_rep_count":
+        return _D_SMALL[stats.exp_gcd].astype(np.float64)
+    if key == "power_rep_weight":
+        return _SIGMA_SMALL[stats.exp_gcd].astype(np.float64)
+    ln_n = stats.ln_n
     if key == "min_exponent_over_log":
         return stats.h_min / ln_n
     if key == "max_exponent_over_log":
         return stats.h_max / ln_n
     if key == "valuation_scaled":
         return stats.ap[spec.p] * math.log(spec.p) / ln_n
-    if key == "power_rep_count":
-        return _D_SMALL[stats.exp_gcd].astype(np.float64)
-    if key == "power_rep_weight":
-        return _SIGMA_SMALL[stats.exp_gcd].astype(np.float64)
+    lnln_n = stats.lnln_n
     with np.errstate(divide="ignore"):
-        lnln_n = np.log(ln_n)
         if key == "omega_over_loglog":
             return stats.omega / lnln_n
         if key == "bigomega_over_loglog":
@@ -184,6 +184,11 @@ def sequence_values(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# largest limit whose k = 2 column, C(r, 2) for 4 <= r, has at most 2**22
+# entries; the enumeration's dict grows with that column
+_PASCAL_LIMIT_CAP = math.comb((1 << 22) + 4, 2) - 1
+
+
 def _pascal_members(eps: float, limit: int) -> np.ndarray:
     """Exceptional n <= limit for the Pascal occurrence count.
 
@@ -192,6 +197,10 @@ def _pascal_members(eps: float, limit: int) -> np.ndarray:
     n = C(r, k) with k >= 2 and r >= 2k; so those values are enumerated
     directly instead of scanning every n.
     """
+    if limit > _PASCAL_LIMIT_CAP:
+        raise InvalidArgumentError(
+            f"Pascal count scans support limit <= {_PASCAL_LIMIT_CAP}, got {limit}"
+        )
     need = max(1, math.ceil(eps))
     hits: dict[int, int] = {}
     k = 2
@@ -219,7 +228,7 @@ def deviation(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
 
 
 def exceptional_members(
-    spec: SequenceSpec, eps: float, limit: int, block_size: int = 1 << 20
+    spec: SequenceSpec, eps: float, limit: int, block_size: int = BLOCK
 ) -> Iterator[np.ndarray]:
     """Members of the exceptional set in [start_n, limit], one sorted array
     per sieve block."""
@@ -433,12 +442,11 @@ def _tally(
     spec: SequenceSpec,
     eps: float,
     limit: int,
-    block_size: int,
     checkpoints: tuple[int, ...] = (),
 ) -> Tally:
     """The tally of the exceptional set over [start_n, limit]."""
     tally = Tally(checkpoints)
-    for block in exceptional_members(spec, eps, limit, block_size=block_size):
+    for block in exceptional_members(spec, eps, limit):
         tally.absorb(block, int(block[-1]) + 1)
     # checkpoints past the last member
     tally.absorb(np.empty(0, dtype=np.int64), limit + 1)
@@ -450,7 +458,6 @@ def count_report(
     eps: float,
     checkpoints: Checkpoints,
     envelope: str | None = "auto",
-    block_size: int = 1 << 20,
 ) -> ExceptionalReport:
     """Exceptional counts at each checkpoint, with envelope columns.
 
@@ -461,7 +468,7 @@ def count_report(
     if kind is not None:
         _check_envelope_kind(spec, kind)
     xs = checkpoints.values
-    tally = _tally(spec, eps, xs[-1], block_size, xs)
+    tally = _tally(spec, eps, xs[-1], xs)
     rows = envelope_rows(kind, eps, spec.p, xs, tally.counts)
     return ExceptionalReport(spec=spec, eps=eps, envelope_kind=kind, rows=tuple(rows))
 
@@ -487,15 +494,13 @@ class LimsupReport:
         ]
 
 
-def remark_limsup(
-    spec: SequenceSpec, eps: float, limit: int, block_size: int = 1 << 20
-) -> LimsupReport:
+def remark_limsup(spec: SequenceSpec, eps: float, limit: int) -> LimsupReport:
     """log k / log n_k sampled at k = 1, 2, 4, 8, ... plus the final member.
 
     When the exceptional set has exponent 1 this ratio climbs toward 1;
     the report makes that visible without materializing the set.  The k = 1
     row is always 0 (log 1 = 0).
     """
-    tally = _tally(spec, eps, limit, block_size)
+    tally = _tally(spec, eps, limit)
     rows = tuple(tally.final_rows())
     return LimsupReport(spec=spec, eps=eps, limit=limit, total=tally.total, rows=rows)

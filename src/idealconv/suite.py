@@ -274,7 +274,6 @@ def statement_suite(
     eps_grid: tuple[float, ...] = (0.25, 0.5, 1.0),
     statements: tuple[str, ...] | None = None,
     pascal_check_limit: int = 100_000,
-    block_size: int = 1 << 20,
     policy: DecayPolicy | None = None,
 ) -> SuiteReport:
     """Run the verification checklist over [2, limit].
@@ -334,7 +333,6 @@ def statement_suite(
             frozenset(fields),
             ap_primes=tuple(sorted(ap_primes)),
             smooth_bounds=bounds,
-            block_size=block_size,
         ):
             for b, tally in smooth.items():
                 tally.absorb(stats.n[stats.smooth_ok[b]], stats.hi)

@@ -57,6 +57,23 @@ def power_reps(n: int) -> list[tuple[int, int]]:
     return sorted(reps, key=lambda t: t[1])
 
 
+def power_exponent(n: int) -> int:
+    """Largest k with n == m**k for an integer m (the gcd of n's exponents),
+    by integer bisection for each k; fast for n of any size."""
+    best = 1
+    for k in range(2, n.bit_length() + 1):
+        lo, hi = 1, 1 << (n.bit_length() // k + 1)
+        while lo < hi:  # greatest m with m**k <= n
+            mid = (lo + hi + 1) // 2
+            if mid**k <= n:
+                lo = mid
+            else:
+                hi = mid - 1
+        if lo**k == n:
+            best = k
+    return best
+
+
 def perfect_powers_upto(x: int) -> list[int]:
     found = set()
     a = 2

@@ -1,6 +1,7 @@
 """Factor-table arithmetic pinned against independent oracles."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -214,6 +215,17 @@ def test_iroot_exact_powers():
     assert iroot(10**18, 3) == 10**6
     assert iroot(2**40 - 1, 40) == 1
     assert iroot(2**40, 40) == 2
+
+
+def test_iroot_past_float_precision():
+    # the float root of these is off by far more than one step
+    t0 = time.perf_counter()
+    for r in (2**53 + 1, 10**20, 10**40):
+        for k in (3, 5, 7):
+            for x in (r**k - 1, r**k, r**k + 1):
+                got = iroot(x, k)
+                assert got**k <= x < (got + 1) ** k
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_iroot_rejects_bad_args():

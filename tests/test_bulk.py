@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from idealconv import bulk
 from idealconv.bulk import FIELD_NAMES, iter_blocks
 from idealconv.errors import InvalidArgumentError
 
-from oracles import trial_factorize
+from oracles import power_exponent, trial_factorize
 
 TOP = 20_000
 # 2, 3 and 7 divide often; 131 sits just under sqrt(TOP) and 1009 above it
@@ -97,3 +98,29 @@ def test_block_near_two_to_the_36():
 def test_limit_from_two_to_the_63_is_rejected():
     with pytest.raises(InvalidArgumentError, match="2\\*\\*63"):
         next(iter_blocks(2**63))
+
+
+@pytest.mark.parametrize(
+    "center",
+    # 2**60 is a 60th power; 3037000499**2 is the largest square below 2**63
+    [2**60, 2**62, 3**39, 3037000499**2],
+)
+def test_exp_gcd_near_large_powers(center):
+    lo, hi = center - 300, center + 300
+    got = np.concatenate(
+        [s.exp_gcd for s in iter_blocks(hi, {"exp_gcd"}, block_size=128, start=lo)]
+    )
+    want = [power_exponent(n) for n in range(lo, hi + 1)]
+    np.testing.assert_array_equal(got, want)
+    assert got[center - lo] == power_exponent(center) > 1
+
+
+def test_exp_gcd_alone_sweeps_no_prime(monkeypatch):
+    def refuse(bound):
+        raise AssertionError("exp_gcd needs no prime list")
+
+    monkeypatch.setattr(bulk, "small_primes", refuse)
+    blocks = list(iter_blocks(300_000, {"exp_gcd"}))
+    assert len(blocks) == 3 and blocks[0].omega is None
+    gcds = np.concatenate([s.exp_gcd for s in blocks])
+    assert gcds[2**18 - 2] == 18 and gcds[3**11 - 2] == 11 and gcds[10**5 - 2] == 5

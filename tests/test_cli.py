@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -324,6 +325,19 @@ def test_limit_from_two_to_the_63_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv, "--limit", str(2**63))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "2**63" in err and err.count("\n") == 1
+
+
+def test_pascal_scan_beyond_its_cap_exits_2(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "aeps", "--seq", "N", "--eps", "0.5", "--limit", str(10**18))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "8796107702277" in err and err.count("\n") == 1
+
+
+def test_pascal_scan_to_ten_to_the_eleven_runs(capsys):
+    code, out, _ = run(capsys, "aeps", "--seq", "N", "--eps", "0.5", "--limit", str(10**11))
+    assert code == 0 and "pascal_count" in out
 
 
 # one input per error class that reaches main() on the set path

@@ -2,7 +2,8 @@
 
 Each file under tests/golden/ is the stdout of `idealconv` for one argument
 list in GOLDEN.  The verify and aeps files were written at commit 7a92f98,
-the lambda, construct and classify files at commit 4330b07, with
+the lambda, construct and classify files at commit 4330b07, and the files
+at --limit 1000000, which span several sieve blocks, at commit bfba96a, with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -23,12 +24,16 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 _AEPS = ("aeps", "--eps", "0.5", "--limit", "100000", "--output", "json")
 _SEQS = ("h", "H", "gamma", "tau", "N", "omega", "bigomega", "logf", "logfstar")
+_AEPS_1E6 = ("aeps", "--eps", "0.5", "--limit", "1000000", "--output", "json")
 
 # file name -> argv
 GOLDEN = {
     "verify.json": ("verify", "--limit", "100000", "--output", "json"),
     **{f"aeps_{s}.json": (*_AEPS, "--seq", s) for s in _SEQS},
     **{f"aeps_{s}_remark.json": (*_AEPS, "--seq", s, "--remark") for s in _SEQS},
+    "verify_1e6.json": ("verify", "--limit", "1000000", "--output", "json"),
+    "aeps_gamma_1e6.json": (*_AEPS_1E6, "--seq", "gamma"),
+    "aeps_omega_remark_1e6.json": (*_AEPS_1E6, "--seq", "omega", "--remark"),
     "aeps_ap_p3.csv": ("aeps", "--seq", "ap", "--p", "3", "--eps", "0.5", "--output", "csv"),
     "lambda_power_3_4.json": ("lambda", "--power", "3/4", "--terms", "100000", "--output", "json"),
     "lambda_power_0.25.json": ("lambda", "--power", "0.25", "--terms", "100000", "--output", "json"),
