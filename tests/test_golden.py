@@ -2,8 +2,10 @@
 
 Each file under tests/golden/ is the stdout of `idealconv` for one argument
 list in GOLDEN.  The verify and aeps files were written at commit 7a92f98,
-the lambda, construct and classify files at commit 4330b07, and the files
-at --limit 1000000, which span several sieve blocks, at commit bfba96a, with
+the lambda, construct and classify files at commit 4330b07, the files
+at --limit 1000000, which span several sieve blocks, at commit bfba96a, and
+the fn files, written from the smallest-prime-factor table that `fn` then
+read, at commit 20cb003, with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -25,6 +27,15 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 _AEPS = ("aeps", "--eps", "0.5", "--limit", "100000", "--output", "json")
 _SEQS = ("h", "H", "gamma", "tau", "N", "omega", "bigomega", "logf", "logfstar")
 _AEPS_1E6 = ("aeps", "--eps", "0.5", "--limit", "1000000", "--output", "json")
+_FNS = ("omega", "bigomega", "h", "H", "ap", "d", "logf", "logfstar", "gamma", "tau", "N")
+
+
+def _fn(name: str, n: str, output: str, p: str = "2") -> tuple[str, ...]:
+    """`fn` argv; gamma, tau and N are undefined at n = 1, so start at 2."""
+    if n.startswith("1:") and name in ("gamma", "tau", "N"):
+        n = "2" + n[1:]
+    return ("fn", name, n, *(("--p", p) if name == "ap" else ()), "--output", output)
+
 
 # file name -> argv
 GOLDEN = {
@@ -53,6 +64,15 @@ GOLDEN = {
     "classify_smooth_2_3_less.csv": (
         "classify", "--smooth", "2,3", "--ideal", "less", "--q", "0.25", "--output", "csv",
     ),
+    # every fn name in every format; 2**17 = 131072 is a block edge
+    **{f"fn_{f}.txt": _fn(f, "1:64", "table") for f in _FNS},
+    **{f"fn_{f}.json": _fn(f, "1:300", "json") for f in _FNS},
+    **{f"fn_{f}_block_edge.csv": _fn(f, "131060:131080", "csv", p="3") for f in _FNS},
+    # 2**20 has 6 representations a**b, of weight 42
+    "fn_gamma_2_20.csv": _fn("gamma", "1048560:1048590", "csv"),
+    "fn_tau_2_20.json": _fn("tau", "1048560:1048590", "json"),
+    # C(104, 39) = C(103, 40), far above 2**63
+    "fn_N_singmaster.csv": _fn("N", "61218182743304701891431482520", "csv"),
 }
 
 
