@@ -17,7 +17,9 @@ perfect k-th power, so it is written at the k-th powers m**k in the block,
 whose bases m come from integer roots of the block's ends.  Blocks hold
 BLOCK integers, so every field array is at most 1 MB, small enough for the
 allocator to reuse from block to block (the cache-sized segments of Bays &
-Hudson, *BIT* 17, 1977).
+Hudson, *BIT* 17, 1977).  `small_primes` sieves the primes in segments
+too, of a megabyte of flags each; it is the package's one prime generator
+besides `arith.is_prime`.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import iroot
+from .arith import iroot, is_prime
 from .errors import InvalidArgumentError
 
-__all__ = ["BLOCK", "BlockStats", "iter_blocks", "small_primes"]
+__all__ = ["BLOCK", "PRIME_BOUND_CAP", "BlockStats", "iter_blocks", "small_primes"]
 
 FIELD_NAMES = frozenset(
     {"h_min", "h_max", "omega", "big_omega", "div_count", "exp_gcd"}
@@ -40,18 +42,33 @@ FIELD_NAMES = frozenset(
 _NO_EXPONENT = 127  # int8 h_min sentinel, above any exponent of n < 2**63
 _LIMIT_CAP = 1 << 63  # the field dtypes below are exact for n < 2**63
 BLOCK = 1 << 17  # integers per block: an int64 array of it is 1 MB
+PRIME_BOUND_CAP = 1 << 26  # largest bound small_primes sieves to
+_SEGMENT = 1 << 20  # flags per small_primes segment
 
 
-def small_primes(bound: int) -> list[int]:
-    """Primes <= bound via a plain boolean sieve (independent of FactorTable)."""
-    if bound < 2:
-        return []
-    is_p = np.ones(bound + 1, dtype=bool)
-    is_p[:2] = False
-    for p in range(2, math.isqrt(bound) + 1):
-        if is_p[p]:
-            is_p[p * p :: p] = False
-    return [int(p) for p in np.flatnonzero(is_p)]
+def small_primes(bound: int, start: int = 2) -> np.ndarray:
+    """The primes in [start, bound] as an int64 array, sieved in segments of
+    _SEGMENT integers by the primes up to isqrt(bound).
+
+    Raises InvalidArgumentError when bound is above PRIME_BOUND_CAP.
+    """
+    if bound > PRIME_BOUND_CAP:
+        raise InvalidArgumentError(
+            f"prime sieve bound {bound} is above the cap 2**26 = {PRIME_BOUND_CAP}"
+        )
+    start = max(start, 2)
+    if bound < start:
+        return np.empty(0, dtype=np.int64)
+    base = small_primes(math.isqrt(bound)).tolist()
+    found = []
+    for lo in range(start, bound + 1, _SEGMENT):
+        seg = np.ones(min(_SEGMENT, bound + 1 - lo), dtype=bool)
+        for p in base:
+            seg[max(p * p, -(-lo // p) * p) - lo :: p] = False
+        primes = np.flatnonzero(seg)
+        primes += lo
+        found.append(primes)
+    return np.concatenate(found)
 
 
 @dataclass
@@ -118,15 +135,20 @@ def iter_blocks(
     """Yield BlockStats covering [start, limit] in consecutive blocks.
 
     `fields` selects which statistic arrays are computed; `ap_primes` adds
-    exact p-adic valuation arrays for those primes, and `smooth_bounds`
-    adds boolean is-p0-smooth masks for each bound p0.  `limit` must be
-    below 2**63.
+    exact p-adic valuation arrays for those primes (a non-prime raises
+    InvalidArgumentError), and `smooth_bounds` adds boolean is-p0-smooth
+    masks for each bound p0.  `limit` must be below 2**63, and the primes
+    swept, up to isqrt(limit) and max(smooth_bounds), at most
+    PRIME_BOUND_CAP.
     """
     unknown = set(fields) - FIELD_NAMES
     if unknown:
         raise InvalidArgumentError(f"unknown bulk fields: {sorted(unknown)}")
     if start < 2:
         raise InvalidArgumentError("bulk scans start at n >= 2")
+    for p in ap_primes:
+        if not is_prime(p):
+            raise InvalidArgumentError(f"p={p} is not prime")
     if limit >= _LIMIT_CAP:
         raise InvalidArgumentError(f"bulk scans need limit < 2**63, got {limit}")
     if limit < start:
@@ -136,10 +158,16 @@ def iter_blocks(
     need_full = bool(fields - {"exp_gcd"})
     # fields that combine whole exponents, which a p**k view alone cannot give
     need_exp = bool(fields & {"h_min", "h_max", "div_count"})
-    primes = small_primes(math.isqrt(limit)) if need_full else []
-    smooth_primes = small_primes(max(smooth_bounds)) if smooth_bounds else []
-    # primes the main sweep must visit
-    sweep = sorted(set(primes) | set(smooth_primes) | set(ap_primes))
+    # Python ints: p**k must not wrap at 2**63
+    primes = small_primes(math.isqrt(limit)).tolist() if need_full else []
+    smooth_primes = (
+        small_primes(max(smooth_bounds)).tolist() if smooth_bounds else []
+    )
+    # primes the main sweep must visit; no set copy of a long prime list
+    # when nothing is added to it
+    sweep = primes
+    if smooth_primes or ap_primes:
+        sweep = sorted(set(primes).union(smooth_primes, ap_primes))
 
     for lo in range(start, limit + 1, block_size):
         hi = min(lo + block_size, limit + 1)

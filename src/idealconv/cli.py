@@ -11,7 +11,7 @@ verify     run the statement verification suite
 
 Output is deterministic: identical arguments produce byte-identical
 csv/json.  Exit codes: 0 success/consistent/pass, 1 inconsistent/fail,
-2 usage, data or allocation errors, 3 indeterminate.
+2 usage or data errors, 3 indeterminate.
 """
 
 from __future__ import annotations
@@ -21,21 +21,18 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Callable, TextIO
+from typing import Iterator, TextIO
 
 from . import arith
+from .bulk import iter_blocks
 from .convergence import (
+    PASCAL_LIMIT_CAP,
     count_report,
     remark_limsup,
     sequence_spec,
-    sequence_value,
+    sequence_values,
 )
-from .errors import (
-    AllocationError,
-    DataFormatError,
-    InsufficientDataError,
-    InvalidArgumentError,
-)
+from .errors import DataFormatError, InsufficientDataError, InvalidArgumentError
 from .exponent import Verdict, classify_leq, classify_less, estimate_lambda
 from .sets import (
     Checkpoints,
@@ -230,42 +227,60 @@ def _build_set(args) -> IntegerSet:
 # ---------------------------------------------------------------------------
 
 
-def _fn_callable(name: str, table, p: int | None) -> Callable[[int], int | float]:
-    def need_p() -> int:
-        if p is None:
-            raise InvalidArgumentError("fn ap requires --p PRIME")
-        return p
+# fn name -> the bulk field it reads; ap reads the valuation array instead
+_FN_FIELDS = {
+    "omega": "omega",
+    "bigomega": "big_omega",
+    "h": "h_min",
+    "H": "h_max",
+    "ap": None,
+    "d": "div_count",
+    "logf": "div_count",
+    "logfstar": "div_count",
+    "gamma": "exp_gcd",
+    "tau": "exp_gcd",
+}
+# values at n = 1, below every bulk scan
+_FN_AT_ONE = {
+    "omega": 0, "bigomega": 0, "h": 1, "H": 1, "ap": 0, "d": 1,
+    "logf": 0.0, "logfstar": 0.0,
+}
+_FN_NAMES = (*_FN_FIELDS, "N")
 
-    table_fns = {
-        "omega": arith.omega,
-        "bigomega": arith.big_omega,
-        "h": arith.h_min,
-        "H": arith.h_max,
-        "d": arith.divisor_count,
-        "logf": arith.log_f,
-        "logfstar": arith.log_f_star,
-    }
-    if name in table_fns:
-        return lambda n: table_fns[name](arith.factorize(n, table))
-    if name == "gamma":
-        return lambda n: arith.gamma_tau(arith.factorize(n, table)).gamma
-    if name == "tau":
-        return lambda n: arith.gamma_tau(arith.factorize(n, table)).tau
-    if name == "ap":
-        q = need_p()
-        return lambda n: arith.a_p(n, q)
+
+def _fn_values(
+    name: str, lo: int, hi: int, p: int | None
+) -> Iterator[tuple[int, int | float]]:
+    """(n, value) for every n in [lo, hi], read off the block sieve (the
+    Pascal count N is computed per n)."""
     if name == "N":
-        return arith.pascal_count
-    raise InvalidArgumentError(
-        f"unknown function {name!r}; choose from "
-        "omega, bigomega, h, H, ap, d, logf, logfstar, gamma, tau, N"
-    )
-
-
-_FN_NAMES = (
-    "omega", "bigomega", "h", "H", "ap", "d", "logf", "logfstar",
-    "gamma", "tau", "N",
-)
+        yield from ((n, arith.pascal_count(n)) for n in range(lo, hi + 1))
+        return
+    if name == "ap" and p is None:
+        raise InvalidArgumentError("fn ap requires --p PRIME")
+    if lo == 1:
+        if name not in _FN_AT_ONE:
+            raise InvalidArgumentError("gamma/tau are undefined for n = 1")
+        yield 1, _FN_AT_ONE[name]
+    field = _FN_FIELDS[name]
+    # gamma and tau: the divisor count and sum of the exponent gcd
+    rep = {"gamma": "power_rep_count", "tau": "power_rep_weight"}.get(name)
+    for stats in iter_blocks(
+        hi,
+        {field} if field else set(),
+        ap_primes=(p,) if name == "ap" else (),
+        start=max(lo, 2),
+    ):
+        if rep:
+            col = sequence_values(sequence_spec(rep), stats).astype(int)
+        else:
+            col = stats.ap[p] if name == "ap" else getattr(stats, field)
+        for n, v in zip(stats.n.tolist(), col.tolist()):
+            if name == "logf":
+                v = 0.5 * v * math.log(n)
+            elif name == "logfstar":
+                v = 0.5 * v * math.log(n) - math.log(n)
+            yield n, v
 
 
 def _cmd_fn(args) -> int:
@@ -274,9 +289,9 @@ def _cmd_fn(args) -> int:
             f"unknown function {args.name!r}; choose from {', '.join(_FN_NAMES)}"
         )
     lo, hi = _parse_range(args.n)
-    table = arith.build_factor_table(max(hi, 2)) if args.name != "N" else None
-    fn = _fn_callable(args.name, table, args.p)
-    records = [{"n": n, "value": fn(n)} for n in range(lo, hi + 1)]
+    records = [
+        {"n": n, "value": v} for n, v in _fn_values(args.name, lo, hi, args.p)
+    ]
     _emit(args, "fn", records, extra={"function": args.name})
     return 0
 
@@ -399,6 +414,12 @@ def _cmd_aeps(args) -> int:
     if cp.values[-1] > args.limit:
         raise InvalidArgumentError(
             f"checkpoint {cp.values[-1]} exceeds --limit {args.limit}"
+        )
+    # the report scans to the last checkpoint, but the user set --limit
+    if spec.key == "pascal_count" and cp.values[-1] > PASCAL_LIMIT_CAP:
+        raise InvalidArgumentError(
+            f"Pascal count scans support --limit <= {PASCAL_LIMIT_CAP}, "
+            f"got {args.limit}"
         )
     envelope = None if args.envelope == "none" else args.envelope
     report = count_report(spec, args.eps, cp, envelope=envelope)
@@ -563,13 +584,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (
-        InvalidArgumentError,
-        DataFormatError,
-        InsufficientDataError,
-        AllocationError,
-        OSError,
-    ) as exc:
+    except (InvalidArgumentError, DataFormatError, InsufficientDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,8 +11,9 @@ Bulk scans go through `bulk.iter_blocks`, so membership over ranges like
 A `Tally` is the running state of one exceptional set across a scan: the
 count A(x) at each checkpoint and the ratio rows at k = 1, 2, 4, ...  Count
 reports, limsup reports and the statement suite all read their numbers off
-tallies, and `envelope_rows` is the one envelope comparison.  The scalar
-`sequence_value` path over a factor table is the reference oracle.
+tallies, and `envelope_rows` is the one envelope comparison.  There is no
+per-n path: `idealconv fn` reads single values off the same blocks, and the
+tests check them against a per-n recomputation by trial division.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterator
 import numpy as np
 
 from . import arith
-from .bulk import BLOCK, BlockStats, iter_blocks, small_primes
+from .bulk import BLOCK, PRIME_BOUND_CAP, BlockStats, iter_blocks, small_primes
 from .errors import InvalidArgumentError
 from .sets import Checkpoints, IntegerSet
 
@@ -32,11 +33,11 @@ __all__ = [
     "SequenceSpec",
     "sequence_spec",
     "SEQUENCE_KEYS",
-    "sequence_value",
     "sequence_values",
     "exceptional_set",
     "exceptional_members",
     "deviation",
+    "PASCAL_LIMIT_CAP",
     "smooth_bound_for",
     "envelope_value",
     "default_envelope",
@@ -118,39 +119,6 @@ for _i in range(1, _TBL):
     _SIGMA_SMALL[_i::_i] += _i
 
 
-def sequence_value(spec: SequenceSpec, n: int, table: arith.FactorTable) -> float:
-    """x_n for a single n, from its factorization (reference path)."""
-    if n < spec.start_n:
-        raise InvalidArgumentError(
-            f"{spec.label} is defined for n >= {spec.start_n}, got {n}"
-        )
-    key = spec.key
-    if key == "pascal_count":
-        return float(arith.pascal_count(n))
-    f = arith.factorize(n, table)
-    ln_n = math.log(n)
-    if key == "min_exponent_over_log":
-        return arith.h_min(f) / ln_n
-    if key == "max_exponent_over_log":
-        return arith.h_max(f) / ln_n
-    if key == "valuation_scaled":
-        return arith.a_p(n, spec.p) * math.log(spec.p) / ln_n
-    if key == "power_rep_count":
-        return float(arith.gamma_tau(f).gamma)
-    if key == "power_rep_weight":
-        return float(arith.gamma_tau(f).tau)
-    lnln_n = math.log(ln_n)
-    if key == "omega_over_loglog":
-        return arith.omega(f) / lnln_n
-    if key == "bigomega_over_loglog":
-        return arith.big_omega(f) / lnln_n
-    if key == "loglog_f":
-        return math.log(arith.log_f(f)) / lnln_n
-    # loglog_fstar: undefined (log 0) when f*(n) = 1, i.e. at the primes
-    lf = arith.log_f_star(f)
-    return math.log(lf) / lnln_n if lf > 0 else -math.inf
-
-
 def sequence_values(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
     """x_n for every n in a stats block (indices below start_n give garbage;
     `deviation` blanks them)."""
@@ -186,7 +154,7 @@ def sequence_values(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
 
 # largest limit whose k = 2 column, C(r, 2) for 4 <= r, has at most 2**22
 # entries; the enumeration's dict grows with that column
-_PASCAL_LIMIT_CAP = math.comb((1 << 22) + 4, 2) - 1
+PASCAL_LIMIT_CAP = math.comb((1 << 22) + 4, 2) - 1
 
 
 def _pascal_members(eps: float, limit: int) -> np.ndarray:
@@ -197,9 +165,9 @@ def _pascal_members(eps: float, limit: int) -> np.ndarray:
     n = C(r, k) with k >= 2 and r >= 2k; so those values are enumerated
     directly instead of scanning every n.
     """
-    if limit > _PASCAL_LIMIT_CAP:
+    if limit > PASCAL_LIMIT_CAP:
         raise InvalidArgumentError(
-            f"Pascal count scans support limit <= {_PASCAL_LIMIT_CAP}, got {limit}"
+            f"Pascal count scans support limit <= {PASCAL_LIMIT_CAP}, got {limit}"
         )
     need = max(1, math.ceil(eps))
     hits: dict[int, int] = {}
@@ -272,11 +240,15 @@ def smooth_bound_for(eps: float) -> int | None:
     """
     if eps <= 0:
         raise InvalidArgumentError(f"tolerance eps must be positive, got {eps}")
+    if eps * math.log(PRIME_BOUND_CAP + 1) <= 1:
+        raise InvalidArgumentError(
+            f"eps={eps:g} puts the smooth bound e**(1/eps) above the prime "
+            f"sieve cap 2**26 = {PRIME_BOUND_CAP}"
+        )
     cap = math.floor(math.exp(1 / eps))
     if cap < 2:
         return None
-    primes = small_primes(cap)
-    return primes[-1] if primes else None
+    return int(small_primes(cap)[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -7,23 +7,9 @@ class InvalidArgumentError(ValueError):
     """An argument violates a documented precondition."""
 
 
-class OutOfRangeError(InvalidArgumentError):
-    """A query exceeds the range a precomputed table supports."""
-
-
 class InsufficientDataError(ValueError):
     """A stream ended before enough elements were available."""
 
 
 class DataFormatError(ValueError):
     """External input (e.g. a set file) is malformed."""
-
-
-class AllocationError(MemoryError):
-    """A table allocation failed; carries the requested byte count."""
-
-    def __init__(self, requested_bytes: int):
-        self.requested_bytes = requested_bytes
-        super().__init__(
-            f"failed to allocate {requested_bytes} bytes for factor table"
-        )

@@ -416,28 +416,20 @@ def naturals() -> IntegerSet:
 
 
 def primes_set() -> IntegerSet:
-    """The primes, via an unbounded segmented sieve seeded by `small_primes`."""
+    """The primes, sieved window by window with `small_primes`.  The windows
+    end at 2**16, 2**17, ... and then at multiples of 2**20, so the stream
+    holds every prime below the sieve's cap 2**26 and raises
+    InvalidArgumentError when pulled past them."""
 
     def gen() -> Iterator[list[int]]:
-        lo, width = 2, 1 << 16
+        lo, hi = 2, 1 << 16
         while True:
-            found = _segment_primes(lo, lo + width)
+            found = small_primes(hi - 1, start=lo)
             for i in range(0, len(found), CHUNK):
                 yield found[i : i + CHUNK].tolist()
-            lo += width
-            width = min(width * 2, 1 << 20)
+            lo, hi = hi, hi + min(hi, 1 << 20)
 
     return IntegerSet(gen(), label="primes")
-
-
-def _segment_primes(lo: int, hi: int) -> np.ndarray:
-    """The primes in [lo, hi), lo >= 2."""
-    seg = np.ones(hi - lo, dtype=bool)
-    for p in small_primes(math.isqrt(hi - 1)):
-        seg[max(p * p, -(-lo // p) * p) - lo :: p] = False
-    found = np.flatnonzero(seg)
-    found += lo
-    return found
 
 
 def union(a: IntegerSet, b: IntegerSet) -> IntegerSet:

@@ -470,7 +470,7 @@ def _statement_i_checks(
         )
     ]
     if b is not None:
-        primes = small_primes(b)
+        primes = small_primes(b).tolist()
         rows = []
         all_ok = True
         # +1 counts n = 1, smooth by convention

@@ -144,3 +144,54 @@ def logpower_term(n: int, q: float) -> int:
         qm = mpmath.mpf(q)
         v = mpmath.power(n, 1 / qm) * mpmath.power(mpmath.log(n + 1), 2 / qm)
         return int(mpmath.floor(v)) + 1
+
+
+def pascal_occurrences(n: int) -> int:
+    """Occurrences of n >= 2 in Pascal's triangle: C(n, 1) and C(n, n-1),
+    plus a walk down each column k >= 2 while C(2k, k) <= n."""
+    total = 1 if n == 2 else 2
+    k = 2
+    while math.comb(2 * k, k) <= n:
+        r = 2 * k
+        while math.comb(r, k) < n:
+            r += 1
+        if math.comb(r, k) == n:
+            total += 1 if r == 2 * k else 2
+        k += 1
+    return total
+
+
+def sequence_value(spec, n: int) -> float:
+    """x_n of a sequence spec (read for its key, p and start_n) at one n, by
+    trial division, with the float expressions of the package's sequences."""
+    if n < spec.start_n:
+        raise ValueError(f"{spec.key} is defined for n >= {spec.start_n}, got {n}")
+    key = spec.key
+    if key == "pascal_count":
+        return float(pascal_occurrences(n))
+    f = trial_factorize(n)
+    exps = [e for _, e in f]
+    ln_n = math.log(n)
+    if key == "min_exponent_over_log":
+        return min(exps) / ln_n
+    if key == "max_exponent_over_log":
+        return max(exps) / ln_n
+    if key == "valuation_scaled":
+        return dict(f).get(spec.p, 0) * math.log(spec.p) / ln_n
+    # n = m**b exactly for the b dividing the gcd of the exponents
+    g = math.gcd(*exps)
+    if key == "power_rep_count":
+        return float(sum(1 for b in range(1, g + 1) if g % b == 0))
+    if key == "power_rep_weight":
+        return float(sum(b for b in range(1, g + 1) if g % b == 0))
+    lnln_n = math.log(ln_n)
+    if key == "omega_over_loglog":
+        return len(exps) / lnln_n
+    if key == "bigomega_over_loglog":
+        return sum(exps) / lnln_n
+    log_f = 0.5 * math.prod(e + 1 for e in exps) * ln_n
+    if key == "loglog_f":
+        return math.log(log_f) / lnln_n
+    # loglog_fstar: undefined (log 0) when f*(n) = 1, i.e. at the primes
+    lf = log_f - ln_n
+    return math.log(lf) / lnln_n if lf > 0 else -math.inf

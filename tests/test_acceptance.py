@@ -16,16 +16,14 @@ import pytest
 
 from idealconv import (
     Checkpoints,
-    build_factor_table,
     classify_leq,
     classify_less,
     count_report,
     estimate_lambda,
     exceptional_members,
     exceptional_set,
-    factorize,
     from_iterable,
-    gamma_tau,
+    iter_blocks,
     partial_sum_probe,
     pascal_count,
     power_set,
@@ -33,6 +31,7 @@ from idealconv import (
     remark_limsup,
     scale,
     sequence_spec,
+    sequence_values,
     smooth_set,
     statement_suite,
     union,
@@ -287,12 +286,13 @@ def test_08_oracle_equivalence():
             weight[v] += b
             v *= a
             b += 1
-    table = build_factor_table(limit)
+    # gamma and tau as the sieve gives them: divisor count and sum of exp_gcd
     gt_bad = 0
-    for n in range(2, limit + 1):
-        gt = gamma_tau(factorize(n, table))
-        if gt.gamma != 1 + reps[n] or gt.tau != 1 + weight[n]:
-            gt_bad += 1
+    for stats in iter_blocks(limit, {"exp_gcd"}):
+        gamma = sequence_values(sequence_spec("power_rep_count"), stats)
+        tau = sequence_values(sequence_spec("power_rep_weight"), stats)
+        gt_bad += int(np.sum(gamma != 1 + reps[stats.n]))
+        gt_bad += int(np.sum(tau != 1 + weight[stats.n]))
 
     scan = pascal_rowscan(10**4)
     pc_bad = sum(1 for n in range(2, 10**4 + 1) if pascal_count(n) != scan[n])
@@ -302,7 +302,7 @@ def test_08_oracle_equivalence():
         8,
         "oracle equivalence",
         ok,
-        f"gamma_tau vs (a,b) enumeration: {gt_bad} mismatches on [2, 10^5]; "
+        f"gamma/tau vs (a,b) enumeration: {gt_bad} mismatches on [2, 10^5]; "
         f"pascal_count vs row scan: {pc_bad} mismatches on [2, 10^4]; "
         f"{elapsed:.1f}s",
     )

@@ -1,137 +1,161 @@
-"""Factor-table arithmetic pinned against independent oracles."""
+"""The prime sieve, integer arithmetic and the per-n values of `fn`, pinned
+against independent oracles."""
 
+import contextlib
+import io
+import json
 import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealconv import (
     InvalidArgumentError,
-    OutOfRangeError,
-    a_p,
-    big_omega,
-    build_factor_table,
-    divisor_count,
-    factorize,
-    gamma_tau,
-    h_max,
-    h_min,
     iroot,
-    log_f,
-    log_f_star,
-    omega,
+    is_prime,
+    iter_blocks,
     pascal_count,
+    small_primes,
 )
+from idealconv.bulk import _SEGMENT, PRIME_BOUND_CAP
+from idealconv.cli import main
 
 from oracles import pascal_rowscan, power_reps, primes_upto, trial_factorize
 
 
+def fn(name: str, n: str, *extra: str) -> dict[int, int | float]:
+    """n -> value from `idealconv fn NAME N`, read from its json."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["fn", name, n, *extra, "--output", "json"]) == 0
+    return {r["n"]: r["value"] for r in json.loads(buf.getvalue())["records"]}
+
+
 # ---------------------------------------------------------------------------
-# sieve and factorization
+# the prime sieve
 # ---------------------------------------------------------------------------
 
 
-def test_prime_count_1e6(table_1e6):
-    assert len(table_1e6.primes_upto(1_000_000)) == 78_498
+def test_prime_count_1e6():
+    assert len(small_primes(1_000_000)) == 78_498
 
 
-def test_primes_match_oracle(table_1e4):
-    assert list(table_1e4.primes_upto(10_000)) == primes_upto(10_000)
+def test_primes_match_oracle():
+    seg = _SEGMENT
+    top = 2 * seg + 5
+    want = primes_upto(top)
+    assert small_primes(top).tolist() == want  # segments start at 2, 2 + seg, ...
+    # segments run from the window's start: (7, seg + 7) and (seg, 2 * seg)
+    # end in a one-integer segment, (seg + 2, top) in a short one
+    for lo, hi in [(seg - 7, seg + 7), (7, seg + 7), (seg, 2 * seg), (seg + 2, top)]:
+        assert small_primes(hi, start=lo).tolist() == [p for p in want if lo <= p <= hi]
 
 
-def test_is_prime_matches_oracle(table_1e4):
-    marked = {n for n in range(2, 2_000) if table_1e4.is_prime(n)}
+def test_is_prime_matches_oracle():
+    marked = {n for n in range(-3, 2_000) if is_prime(n)}
     assert marked == set(primes_upto(1_999))
 
 
-def test_factorize_matches_trial_division(table_1e4):
-    for n in range(2, 3_000):
-        assert list(factorize(n, table_1e4).factors) == trial_factorize(n)
+def test_small_primes_of_tiny_bounds():
+    assert small_primes(1).tolist() == [] and small_primes(2).tolist() == [2]
+    assert small_primes(10, start=11).size == 0
+    assert small_primes(3, start=-5).tolist() == [2, 3]
 
 
-def test_factorize_one_is_empty(table_1e4):
-    assert factorize(1, table_1e4).factors == ()
-
-
-def test_factorize_out_of_range(table_1e4):
-    with pytest.raises(OutOfRangeError):
-        factorize(10_001, table_1e4)
-    with pytest.raises(InvalidArgumentError):
-        factorize(0, table_1e4)
-
-
-def test_build_table_rejects_tiny_limit():
-    with pytest.raises(InvalidArgumentError):
-        build_factor_table(1)
-
-
-@given(st.integers(min_value=2, max_value=10_000))
-def test_factorization_multiplies_back(table_1e4, n):
-    f = factorize(n, table_1e4)
-    prod = 1
-    for p, e in f.factors:
-        prod *= p**e
-    assert prod == n
+def test_small_primes_rejects_bound_past_cap():
+    bound = PRIME_BOUND_CAP + 1
+    with pytest.raises(InvalidArgumentError, match=f"bound {bound} is above"):
+        small_primes(bound)
 
 
 # ---------------------------------------------------------------------------
-# exponent statistics
+# exponent statistics, read through fn and the block sieve
 # ---------------------------------------------------------------------------
 
-
-def test_exponent_statistics_of_360(table_1e4):
-    f = factorize(360, table_1e4)  # 2^3 * 3^2 * 5
-    assert h_min(f) == 1
-    assert h_max(f) == 3
-    assert omega(f) == 3
-    assert big_omega(f) == 6
-    assert divisor_count(f) == 24
-
-
-def test_exponent_statistics_at_one(table_1e4):
-    f = factorize(1, table_1e4)
-    assert h_min(f) == 1 and h_max(f) == 1
-    assert omega(f) == 0 and big_omega(f) == 0
-    assert divisor_count(f) == 1
+# fn name -> its value from the list of n's prime exponents
+_OF_EXPONENTS = {
+    "omega": len, "bigomega": sum, "h": min, "H": max,
+    "d": lambda exps: math.prod(e + 1 for e in exps),
+}
+# n = 1 has no prime factors; h and H are 1 there by convention
+_FN_AT_ONE = {
+    "h": 1, "H": 1, "omega": 0, "bigomega": 0, "d": 1, "ap": 0, "logf": 0.0, "logfstar": 0.0,
+}
 
 
-def test_statistic_inequalities_exhaustive(table_1e4):
-    # h <= H <= Omega and omega <= Omega <= h_max * omega on every n <= 1e4
-    for n in range(2, 10_001):
-        f = factorize(n, table_1e4)
-        lo, hi, w, big = h_min(f), h_max(f), omega(f), big_omega(f)
-        assert 1 <= lo <= hi <= big
-        assert 1 <= w <= big <= hi * w
+def test_fn_matches_trial_division():
+    for name, stat in _OF_EXPONENTS.items():
+        got = fn(name, "2:3000")
+        for n in range(2, 3_001):
+            assert got[n] == stat([e for _, e in trial_factorize(n)]), (name, n)
 
 
-def test_divisor_count_matches_enumeration(table_1e4):
+@given(st.integers(min_value=2, max_value=10**9))
+@settings(max_examples=50, deadline=None)
+def test_window_at_random_n_matches_trial_division(n):
+    # a one-integer window far from 2 sweeps every prime up to isqrt(n)
+    (stats,) = iter_blocks(n, start=n)
+    f = trial_factorize(n)
+    exps = [e for _, e in f]
+    assert stats.omega[0] == len(f) and stats.big_omega[0] == sum(exps)
+    assert (stats.h_min[0], stats.h_max[0]) == (min(exps), max(exps))
+    assert stats.div_count[0] == math.prod(e + 1 for e in exps)
+    assert stats.exp_gcd[0] == math.gcd(*exps)
+
+
+def test_exponent_statistics_of_360():
+    # 360 = 2^3 * 3^2 * 5
+    got = {name: fn(name, "360")[360] for name in ("h", "H", "omega", "bigomega", "d")}
+    assert got == {"h": 1, "H": 3, "omega": 3, "bigomega": 6, "d": 24}
+
+
+def test_exponent_statistics_at_one():
+    got = {name: fn(name, "1", "--p", "2")[1] for name in _FN_AT_ONE}
+    assert got == _FN_AT_ONE
+
+
+def test_statistic_inequalities_exhaustive():
+    # h <= H <= Omega and omega <= Omega <= H * omega on every n <= 1e4
+    (s,) = iter_blocks(10_000)
+    lo, hi, w, big = (
+        a.astype(np.int64) for a in (s.h_min, s.h_max, s.omega, s.big_omega)
+    )
+    assert np.all((1 <= lo) & (lo <= hi) & (hi <= big))
+    assert np.all((1 <= w) & (w <= big) & (big <= hi * w))
+
+
+def test_divisor_count_matches_enumeration():
+    got = fn("d", "1:1999")
     for n in range(1, 2_000):
-        brute = sum(1 for d in range(1, n + 1) if n % d == 0)
-        assert divisor_count(factorize(n, table_1e4)) == brute
+        assert got[n] == sum(1 for d in range(1, n + 1) if n % d == 0)
 
 
-def test_valuation_matches_trial(table_1e4):
-    for n in range(1, 2_000):
-        for p in (2, 3, 7):
+def test_valuation_matches_trial():
+    for p in (2, 3, 7):
+        got = fn("ap", "1:1999", "--p", str(p))
+        for n in range(1, 2_000):
             e, m = 0, n
             while m % p == 0:
                 e, m = e + 1, m // p
-            assert a_p(n, p) == e
+            assert got[n] == e
 
 
 def test_valuation_rejects_composite_base():
-    with pytest.raises(InvalidArgumentError):
-        a_p(12, 4)
+    # a non-prime in ap_primes would also be swept as a prime of n
+    with pytest.raises(InvalidArgumentError, match="p=4 is not prime"):
+        next(iter_blocks(40, ap_primes=(4,)))
 
 
-def test_log_f_is_log_divisor_product(table_1e4):
-    for n in (1, 2, 6, 12, 36, 100, 360):
+def test_log_f_is_log_divisor_product():
+    ns = (1, 2, 6, 12, 36, 100, 360)
+    log_f, log_f_star = fn("logf", "1:360"), fn("logfstar", "1:360")
+    for n in ns:
         divisors = [d for d in range(1, n + 1) if n % d == 0]
-        f = factorize(n, table_1e4)
-        assert log_f(f) == pytest.approx(math.log(math.prod(divisors)), abs=1e-9)
-        assert log_f_star(f) == pytest.approx(log_f(f) - math.log(n), abs=1e-9)
+        assert log_f[n] == pytest.approx(math.log(math.prod(divisors)), abs=1e-9)
+        assert log_f_star[n] == pytest.approx(log_f[n] - math.log(n), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -139,30 +163,30 @@ def test_log_f_is_log_divisor_product(table_1e4):
 # ---------------------------------------------------------------------------
 
 
-def test_gamma_tau_of_64(table_1e4):
-    gt = gamma_tau(factorize(64, table_1e4))
-    assert (gt.gamma, gt.tau) == (4, 12)
-    assert [(r.base, r.exponent) for r in gt.reps] == power_reps(64)
+def test_gamma_tau_of_64():
+    assert (fn("gamma", "64")[64], fn("tau", "64")[64]) == (4, 12)
+    # the representations are 64 = iroot(64, b)**b for the b dividing exp_gcd
+    (stats,) = iter_blocks(64, {"exp_gcd"}, start=64)
+    g = int(stats.exp_gcd[0])
+    assert [(iroot(64, b), b) for b in range(1, g + 1) if g % b == 0] == power_reps(64)
 
 
-def test_gamma_tau_of_16(table_1e4):
-    gt = gamma_tau(factorize(16, table_1e4))
-    assert (gt.gamma, gt.tau) == (3, 7)
+def test_gamma_tau_of_16():
+    assert (fn("gamma", "16")[16], fn("tau", "16")[16]) == (3, 7)
 
 
-def test_gamma_tau_matches_brute_force(table_1e4):
+def test_gamma_tau_matches_brute_force():
+    gamma, tau = fn("gamma", "2:2999"), fn("tau", "2:2999")
     for n in range(2, 3_000):
-        gt = gamma_tau(factorize(n, table_1e4))
         reps = power_reps(n)
-        assert gt.gamma == len(reps)
-        assert gt.tau == sum(b for _, b in reps)
+        assert gamma[n] == len(reps)
+        assert tau[n] == sum(b for _, b in reps)
 
 
-def test_gamma_is_one_off_perfect_powers(table_1e4):
+def test_gamma_is_one_off_perfect_powers():
     # non-powers have the single representation (n, 1)
-    gt = gamma_tau(factorize(12, table_1e4))
-    assert gt.gamma == 1 and gt.tau == 1
-    assert [(r.base, r.exponent) for r in gt.reps] == [(12, 1)]
+    assert fn("gamma", "12")[12] == 1 and fn("tau", "12")[12] == 1
+    assert power_reps(12) == [(12, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +221,25 @@ def test_pascal_count_known_multiplicities(n, count):
 def test_pascal_count_rejects_small_n():
     with pytest.raises(InvalidArgumentError):
         pascal_count(1)
+
+
+def _fib(i: int) -> int:
+    a, b = 0, 1
+    for _ in range(i):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("i,count", [(1, 8), (2, 6), (3, 6)])
+def test_pascal_count_singmaster_family(i, count):
+    # Singmaster's infinite family C(n, k) = C(n-1, k+1) with
+    # n = F(2i+2) F(2i+3), k = F(2i) F(2i+3); i = 1 gives 3003, i = 2
+    # C(104, 39).  i = 4 is left out: its count takes minutes
+    n = _fib(2 * i + 2) * _fib(2 * i + 3)
+    k = _fib(2 * i) * _fib(2 * i + 3)
+    v = math.comb(n, k)
+    assert v == math.comb(n - 1, k + 1)
+    assert pascal_count(v) == count
 
 
 # ---------------------------------------------------------------------------

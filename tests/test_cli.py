@@ -6,9 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from idealconv import arith
 from idealconv.cli import main
-from idealconv.errors import AllocationError
 
 from oracles import power_term
 
@@ -56,6 +54,21 @@ def test_fn_errors(capsys):
     assert code == 2 and "--p" in err
     code, _, err = run(capsys, "fn", "omega", "9:3")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("gamma", "1:5"), "error: gamma/tau are undefined for n = 1\n"),
+        (("tau", "1"), "error: gamma/tau are undefined for n = 1\n"),
+        (("N", "1:5"), "error: pascal_count requires n >= 2, got 1\n"),
+        (("ap", "1", "--p", "4"), "error: p=4 is not prime\n"),
+    ],
+    ids=["gamma", "tau", "N", "ap-p4"],
+)
+def test_fn_at_one_errors(capsys, argv, message):
+    code, out, err = run(capsys, "fn", *argv)
+    assert code == 2 and out == "" and err == message
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +345,11 @@ def test_pascal_scan_beyond_its_cap_exits_2(capsys):
     code, out, err = run(capsys, "aeps", "--seq", "N", "--eps", "0.5", "--limit", str(10**18))
     assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "8796107702277" in err and err.count("\n") == 1
+    # the count report scans to its last checkpoint; the message names --limit
+    assert err == (
+        "error: Pascal count scans support --limit <= 8796107702277, "
+        "got 1000000000000000000\n"
+    )
 
 
 def test_pascal_scan_to_ten_to_the_eleven_runs(capsys):
@@ -371,14 +388,40 @@ def test_set_path_errors_exit_2(capsys, tmp_path, argv, content, message):
     assert message in err
 
 
-def test_allocation_failure_exits_2(capsys, monkeypatch):
-    def refuse(limit):
-        raise AllocationError(4 * (limit + 1))
+def test_fn_omega_at_three_billion(capsys):
+    # one block at n = 3e9 sweeps the primes up to 54772, no table up to n
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "fn", "omega", "3000000000", "--output", "csv")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and err == "" and out == "n,value\n3000000000,3\n"
 
-    monkeypatch.setattr(arith, "build_factor_table", refuse)
-    code, out, err = run(capsys, "fn", "omega", "3000000000")
+
+# inputs that once raised a traceback or a huge allocation
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ("fn", "ap", str(2**70), "--p", "2"),
+            "bulk scans need limit < 2**63, got 1180591620717411303424",
+        ),
+        (
+            ("verify", "--suite", "I", "--eps", "0.05", "--limit", "10000"),
+            "eps=0.05 puts the smooth bound e**(1/eps) above the prime sieve cap",
+        ),
+        (
+            ("fn", "omega", str(2**62)),
+            "prime sieve bound 2147483648 is above the cap 2**26 = 67108864",
+        ),
+        (("fn", "ap", "48", "--p", "4"), "p=4 is not prime"),
+    ],
+    ids=["fn-ap-2**70", "verify-eps-0.05", "fn-omega-2**62", "fn-ap-p4"],
+)
+def test_bad_input_exits_2_at_once(capsys, argv, message):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
     assert code == 2 and out == ""
-    assert err == "error: failed to allocate 12000000004 bytes for factor table\n"
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,11 @@ from idealconv import (
     exceptional_set,
     remark_limsup,
     sequence_spec,
-    sequence_value,
     smooth_bound_for,
     statement_suite,
 )
 
-from oracles import pascal_rowscan, perfect_powers_upto
+from oracles import pascal_rowscan, perfect_powers_upto, sequence_value
 
 GAMMA = sequence_spec("power_rep_count")
 TAU = sequence_spec("power_rep_weight")
@@ -51,15 +50,16 @@ def test_loglog_family_starts_at_three():
     assert GAMMA.start_n == 2
 
 
-def test_sequence_value_examples(table_1e4):
-    assert sequence_value(GAMMA, 64, table_1e4) == 4.0
-    assert sequence_value(TAU, 64, table_1e4) == 12.0
-    assert sequence_value(PASCAL, 3003, table_1e4) == 8.0
-    assert sequence_value(sequence_spec("valuation_scaled", p=2), 48, table_1e4) == (
+def test_sequence_value_examples():
+    # the per-n oracle that the membership tests below compare against
+    assert sequence_value(GAMMA, 64) == 4.0
+    assert sequence_value(TAU, 64) == 12.0
+    assert sequence_value(PASCAL, 3003) == 8.0
+    assert sequence_value(sequence_spec("valuation_scaled", p=2), 48) == (
         pytest.approx(math.log(2) * 4 / math.log(48))
     )
     # primes give f*(p) = 1, whose log log is undefined -> -inf marker
-    assert sequence_value(sequence_spec("loglog_fstar"), 7, table_1e4) == -math.inf
+    assert sequence_value(sequence_spec("loglog_fstar"), 7) == -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +114,8 @@ _TIE_EPS = (
 )
 
 
-def test_membership_matches_direct_evaluation(table_1e6):
-    # every sequence against the scalar recomputation on a factor table
+def test_membership_matches_direct_evaluation():
+    # every sequence against the per-n recomputation by trial division
     keys = [
         ("min_exponent_over_log", None),
         ("max_exponent_over_log", None),
@@ -133,7 +133,7 @@ def test_membership_matches_direct_evaluation(table_1e6):
         spec = sequence_spec(key, p=p)
         limit = 5_000 if key == "pascal_count" else 20_000
         dev = [
-            (n, abs(sequence_value(spec, n, table_1e6) - spec.limit_value))
+            (n, abs(sequence_value(spec, n) - spec.limit_value))
             for n in range(spec.start_n, limit + 1)
         ]
         for eps in _TIE_EPS:
@@ -181,6 +181,10 @@ def test_smooth_bound_edge_cases():
     assert smooth_bound_for(1.5) is None  # e**(1/eps) < 2: no prime qualifies
     with pytest.raises(InvalidArgumentError):
         smooth_bound_for(0)
+    # e**(1/eps) past the prime sieve's cap 2**26, and past float range
+    for eps in (0.05, 0.001):
+        with pytest.raises(InvalidArgumentError, match="sieve cap 2\\*\\*26"):
+            smooth_bound_for(eps)
 
 
 # ---------------------------------------------------------------------------
