@@ -112,6 +112,15 @@ def test_exponent_statistics_of_360():
     assert got == {"h": 1, "H": 3, "omega": 3, "bigomega": 6, "d": 24}
 
 
+def test_factorize_one_is_empty():
+    # 1 has no prime factors: fn reads it as the empty factorization, also at
+    # the head of a range whose other integers come from the block sieve
+    for name, empty in (("omega", 0), ("bigomega", 0), ("d", 1)):
+        got = fn(name, "1:12")
+        assert got[1] == empty, name
+        assert got[12] == _OF_EXPONENTS[name]([2, 1]), name  # 12 = 2^2 * 3
+
+
 def test_exponent_statistics_at_one():
     got = {name: fn(name, "1", "--p", "2")[1] for name in _FN_AT_ONE}
     assert got == _FN_AT_ONE
