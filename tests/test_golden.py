@@ -5,7 +5,8 @@ list in GOLDEN.  The verify and aeps files were written at commit 7a92f98,
 the lambda, construct and classify files at commit 4330b07, the files
 at --limit 1000000, which span several sieve blocks, at commit bfba96a, and
 the fn files, written from the smallest-prime-factor table that `fn` then
-read, at commit 20cb003, with
+read, at commit 20cb003, and the files at --limit 4000000 and near 10**9,
+written from the per-prime sieve sweep, at commit 29867fe, with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -27,6 +28,7 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 _AEPS = ("aeps", "--eps", "0.5", "--limit", "100000", "--output", "json")
 _SEQS = ("h", "H", "gamma", "tau", "N", "omega", "bigomega", "logf", "logfstar")
 _AEPS_1E6 = ("aeps", "--eps", "0.5", "--limit", "1000000", "--output", "json")
+_AEPS_4E6 = ("aeps", "--eps", "0.5", "--limit", "4000000", "--output", "json")
 _FNS = ("omega", "bigomega", "h", "H", "ap", "d", "logf", "logfstar", "gamma", "tau", "N")
 
 
@@ -45,6 +47,10 @@ GOLDEN = {
     "verify_1e6.json": ("verify", "--limit", "1000000", "--output", "json"),
     "aeps_gamma_1e6.json": (*_AEPS_1E6, "--seq", "gamma"),
     "aeps_omega_remark_1e6.json": (*_AEPS_1E6, "--seq", "omega", "--remark"),
+    # to 4*10**6 the sieve sweeps primes up to 2000, on both sides of
+    # bulk.T, across 31 blocks
+    "aeps_h_4e6.json": (*_AEPS_4E6, "--seq", "h"),
+    "aeps_omega_remark_4e6.json": (*_AEPS_4E6, "--seq", "omega", "--remark"),
     "aeps_ap_p3.csv": ("aeps", "--seq", "ap", "--p", "3", "--eps", "0.5", "--output", "csv"),
     "lambda_power_3_4.json": ("lambda", "--power", "3/4", "--terms", "100000", "--output", "json"),
     "lambda_power_0.25.json": ("lambda", "--power", "0.25", "--terms", "100000", "--output", "json"),
@@ -68,6 +74,9 @@ GOLDEN = {
     **{f"fn_{f}.txt": _fn(f, "1:64", "table") for f in _FNS},
     **{f"fn_{f}.json": _fn(f, "1:300", "json") for f in _FNS},
     **{f"fn_{f}_block_edge.csv": _fn(f, "131060:131080", "csv", p="3") for f in _FNS},
+    # near 10**9 the sieve sweeps the primes to 31622; 1000079360 = 7630 * 2**17
+    "fn_omega_1e9.txt": _fn("omega", "1000079300:1000079420", "table"),
+    "fn_omega_1e9.csv": _fn("omega", "1000079300:1000079420", "csv"),
     # 2**20 has 6 representations a**b, of weight 42
     "fn_gamma_2_20.csv": _fn("gamma", "1048560:1048590", "csv"),
     "fn_tau_2_20.json": _fn("tau", "1048560:1048590", "json"),
