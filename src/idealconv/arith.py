@@ -1,5 +1,5 @@
 """Exact integer arithmetic: Pascal-triangle occurrence counts, integer
-roots and a trial-division primality test.
+roots and a deterministic Miller-Rabin primality test.
 
 The per-n exponent statistics (omega, the divisor count, the gcd of the
 exponents, ...) are computed over whole ranges by the block sieve in `bulk`.
@@ -14,19 +14,37 @@ from .errors import InvalidArgumentError
 __all__ = ["pascal_count", "iroot", "is_prime"]
 
 
+# The first 13 primes.  As Miller-Rabin bases they decide every m below
+# psi_13 = 3317044064679887385961981, the least strong pseudoprime to all
+# of them (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(m: int) -> bool:
-    """Deterministic trial-division primality test for small m."""
+    """Deterministic Miller-Rabin test with the bases 2, 3, ..., 41, exact
+    below 3.3e24; InvalidArgumentError from there on."""
+    if m >= _MR_LIMIT:
+        raise InvalidArgumentError(
+            f"primality is decided below {_MR_LIMIT} only, got {m}"
+        )
     if m < 2:
         return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
+    for b in _MR_BASES:
+        if m % b == 0:
+            return m == b
+    s = ((m - 1) & (1 - m)).bit_length() - 1  # m - 1 = d * 2**s, d odd
+    d = (m - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

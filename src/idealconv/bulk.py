@@ -1,16 +1,23 @@
 """Block-sieved bulk evaluation of exponent statistics over integer ranges.
 
 For whole-range scans (classifying every n up to 1e7, say) per-n factorization
-is far too slow in Python.  Instead each block [lo, hi) is swept once per
-prime p <= sqrt(hi), the standard segmented-sieve idiom: every update is an
-in-place numpy operation on a strided slice view `arr[(-lo % p**k)::p**k]`,
-so no index array is built and nothing is gathered or scattered.  Counters
-get `+= 1` on each prime-power view, products get `*= p`, and the statistics
-that need the whole exponent take it from a per-prime exponent array through
-the p view.  The running product of extracted prime powers divides n, so
-`value < n` exposes the (at most one) remaining prime factor > sqrt(hi) as a
-cofactor.  The Python-level loop is only over the ~450 primes below
-sqrt(1e7) and their few powers per block.
+is far too slow in Python.  Instead each block [lo, hi) is swept by the primes
+p <= sqrt(hi), the segmented-sieve idiom, in two tiers split at the constant
+T.  A prime p <= T has at least BLOCK / T multiples in a block, so each gets
+its own Python step, and every update is an in-place numpy operation on a
+strided slice view `arr[(-lo % p**k)::p**k]`: counters get `+= 1` on each
+prime-power view, products get `*= p`, and the statistics that need the
+whole exponent take it from a per-prime exponent array through the p view.
+The primes above T have fewer multiples each, so a Python step per prime
+would cost more than its array work; `_sweep_large` handles all of them in
+one vectorised pass per block, the bucket sieve of Oliveira e Silva, Herzog &
+Pardi (*Math. Comp.* 83, 2014): their multiples' positions come from
+`np.repeat` and `cumsum`, the rare exponents above 1 from division at the
+multiples of p**2, and the fields from `np.add.at` and its kin.  The running
+product of extracted prime powers divides n, so `value < n` exposes the (at
+most one) remaining prime factor > sqrt(hi) as a cofactor.  The valuation
+arrays of `ap_primes` and the products of the smooth masks stay on the
+strided path at every p.
 
 `exp_gcd` is not swept: the gcd of n's exponents is the largest k with n a
 perfect k-th power, so it is written at the k-th powers m**k in the block,
@@ -18,8 +25,8 @@ whose bases m come from integer roots of the block's ends.  Blocks hold
 BLOCK integers, so every field array is at most 1 MB, small enough for the
 allocator to reuse from block to block (the cache-sized segments of Bays &
 Hudson, *BIT* 17, 1977).  `small_primes` sieves the primes in segments
-too, of a megabyte of flags each; it is the package's one prime generator
-besides `arith.is_prime`.
+too, of a megabyte of odd-number flags each; it is the package's one prime
+generator besides `arith.is_prime`.
 """
 
 from __future__ import annotations
@@ -43,12 +50,16 @@ _NO_EXPONENT = 127  # int8 h_min sentinel, above any exponent of n < 2**63
 _LIMIT_CAP = 1 << 63  # the field dtypes below are exact for n < 2**63
 BLOCK = 1 << 17  # integers per block: an int64 array of it is 1 MB
 PRIME_BOUND_CAP = 1 << 26  # largest bound small_primes sieves to
-_SEGMENT = 1 << 20  # flags per small_primes segment
+# primes up to T are swept one by one through strided views, the larger
+# ones all at once by _sweep_large
+T = 300
+_SEGMENT = 1 << 21  # integers per small_primes segment: 2**20 odd-number flags
 
 
 def small_primes(bound: int, start: int = 2) -> np.ndarray:
     """The primes in [start, bound] as an int64 array, sieved in segments of
-    _SEGMENT integers by the primes up to isqrt(bound).
+    _SEGMENT integers, one flag per odd number, by the odd primes up to
+    isqrt(bound).
 
     Raises InvalidArgumentError when bound is above PRIME_BOUND_CAP.
     """
@@ -59,16 +70,22 @@ def small_primes(bound: int, start: int = 2) -> np.ndarray:
     start = max(start, 2)
     if bound < start:
         return np.empty(0, dtype=np.int64)
-    base = small_primes(math.isqrt(bound)).tolist()
-    found = []
+    base = small_primes(math.isqrt(bound), start=3).tolist()
+    # int32 pieces: the concatenated int64 array is the only full-size copy
+    found = [np.array([2] if start == 2 else [], dtype=np.int32)]
     for lo in range(start, bound + 1, _SEGMENT):
-        seg = np.ones(min(_SEGMENT, bound + 1 - lo), dtype=bool)
+        hi = min(lo + _SEGMENT, bound + 1)
+        # seg[i - i0] flags the odd number 2i + 1, for the odd numbers in [lo, hi)
+        i0 = lo // 2
+        seg = np.ones(hi // 2 - i0, dtype=bool)
         for p in base:
-            seg[max(p * p, -(-lo // p) * p) - lo :: p] = False
+            m = max(p * p, -(-lo // p) * p)
+            m += p * (1 - m % 2)  # the first odd multiple
+            seg[m // 2 - i0 :: p] = False
         primes = np.flatnonzero(seg)
-        primes += lo
-        found.append(primes)
-    return np.concatenate(found)
+        primes += i0
+        found.append((2 * primes + 1).astype(np.int32))
+    return np.concatenate(found, dtype=np.int64)
 
 
 @dataclass
@@ -158,16 +175,19 @@ def iter_blocks(
     need_full = bool(fields - {"exp_gcd"})
     # fields that combine whole exponents, which a p**k view alone cannot give
     need_exp = bool(fields & {"h_min", "h_max", "div_count"})
-    # Python ints: p**k must not wrap at 2**63
-    primes = small_primes(math.isqrt(limit)).tolist() if need_full else []
-    smooth_primes = (
-        small_primes(max(smooth_bounds)).tolist() if smooth_bounds else []
+    primes = (
+        small_primes(math.isqrt(limit)) if need_full else np.empty(0, dtype=np.int64)
     )
-    # primes the main sweep must visit; no set copy of a long prime list
-    # when nothing is added to it
-    sweep = primes
-    if smooth_primes or ap_primes:
-        sweep = sorted(set(primes).union(smooth_primes, ap_primes))
+    split = int(np.searchsorted(primes, T, side="right"))
+    # Python ints: p**k must not wrap at 2**63
+    sweep = primes[:split].tolist()
+    large = primes[split:]
+    del primes
+    if smooth_bounds or ap_primes:
+        smooth_primes = (
+            small_primes(max(smooth_bounds)).tolist() if smooth_bounds else []
+        )
+        sweep = sorted(set(sweep).union(smooth_primes, ap_primes))
 
     for lo in range(start, limit + 1, block_size):
         hi = min(lo + block_size, limit + 1)
@@ -198,7 +218,7 @@ def iter_blocks(
             off = -lo % p
             if off >= size:
                 continue
-            in_main = need_full and p <= sqrt_hi
+            in_main = need_full and p <= T and p <= sqrt_hi
             # counters gain 1 and products a factor p on each p**k view
             counters = [stats.ap[p]] if p in stats.ap else []
             products = [sval for p0, sval in smooth_vals.items() if p <= p0]
@@ -239,6 +259,9 @@ def iter_blocks(
                 view *= e + 1
 
         if need_full:
+            _sweep_large(
+                stats, value, large[: np.searchsorted(large, sqrt_hi, side="right")]
+            )
             # the cofactor n / value is 1 or a single prime > sqrt(hi)
             has_rem = value < n_arr
             if stats.h_min is not None:
@@ -256,3 +279,62 @@ def iter_blocks(
             stats.smooth_ok[p0] = sval == n_arr
 
         yield stats
+
+
+def _multiples(
+    off: np.ndarray, step: np.ndarray, cnt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The positions off[i] + j * step[i] for j < cnt[i], row after row, and
+    the step of each."""
+    steps = np.repeat(step, cnt)
+    j = np.arange(len(steps)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    return np.repeat(off, cnt) + j * steps, steps
+
+
+def _sweep_large(stats: BlockStats, value: np.ndarray, primes: np.ndarray) -> None:
+    """Sweep one block with the primes above T, all at most sqrt(hi), in one
+    pass over all their multiples: each has fewer than size / T multiples,
+    so a Python step per prime would cost more than its array work.
+    Exponents above 1 are rare (p**2 > T**2 at least) and are found by
+    division at the multiples of p**2."""
+    lo, size = stats.lo, stats.hi - stats.lo
+    # int32 remainders (each below p < 2**26) halve the one temporary as long
+    # as the prime list, 3.9 million entries in a window near the sieve cap
+    off = np.empty(len(primes), dtype=np.int32)
+    np.remainder(-lo, primes, out=off, casting="unsafe")
+    hit = off < size
+    p, off = primes[hit], off[hit]
+    pos, p_at = _multiples(off, p, (size - 1 - off) // p + 1)
+    p2 = p * p  # below 2**63, as p <= isqrt(limit)
+    off2 = np.remainder(-lo, p2)
+    cnt2 = (size - 1 - off2) // p2 + 1
+    pos2, _ = _multiples(off2, p2, cnt2)
+    q = np.repeat(p, cnt2)
+    e = np.full(len(pos2), 2, dtype=np.int8)  # exponent of q at pos2
+    rest = (pos2 + lo) // (q * q)
+    divides = rest % q == 0
+    while divides.any():
+        e += divides
+        rest[divides] //= q[divides]
+        divides = rest % q == 0
+
+    # large prime factors of each n, then those of exponent 1
+    simple = np.zeros(size, dtype=np.int8)
+    np.add.at(simple, pos, np.ones(len(pos), dtype=np.int8))
+    if stats.omega is not None:
+        stats.omega += simple
+    np.subtract.at(simple, pos2, np.ones(len(pos2), dtype=np.int8))
+    if stats.big_omega is not None:
+        stats.big_omega += simple
+        np.add.at(stats.big_omega, pos2, e)
+    if stats.h_min is not None:
+        np.putmask(stats.h_min, simple > 0, 1)
+        np.minimum.at(stats.h_min, pos2, e)
+    if stats.h_max is not None:
+        np.maximum(stats.h_max, simple > 0, out=stats.h_max)
+        np.maximum.at(stats.h_max, pos2, e)
+    if stats.div_count is not None:
+        stats.div_count <<= simple
+        np.multiply.at(stats.div_count, pos2, e.astype(np.int32) + 1)
+    np.multiply.at(value, pos, p_at)
+    np.multiply.at(value, pos2, q ** (e - 1))

@@ -140,10 +140,14 @@ def sequence_values(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
             return stats.omega / lnln_n
         if key == "bigomega_over_loglog":
             return stats.big_omega / lnln_n
-        if key == "loglog_f":
-            return np.log(0.5 * stats.div_count * ln_n) / lnln_n
-        if key == "loglog_fstar":
-            return np.log((0.5 * stats.div_count - 1.0) * ln_n) / lnln_n
+        if key in ("loglog_f", "loglog_fstar"):
+            v = 0.5 * stats.div_count  # log f(n) / log n, then on in place
+            if key == "loglog_fstar":
+                v -= 1.0
+            v *= ln_n
+            np.log(v, out=v)
+            v /= lnln_n
+            return v
     raise InvalidArgumentError(f"no bulk values for {key!r}; use exceptional_members")
 
 
@@ -189,8 +193,11 @@ def _pascal_members(eps: float, limit: int) -> np.ndarray:
 
 def deviation(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
     """|x_n - L| for every n in a block, and 0 for n < start_n, so that
-    `deviation(spec, stats) >= eps` is the block's membership mask."""
-    dev = np.abs(sequence_values(spec, stats) - spec.limit_value)
+    `deviation(spec, stats) >= eps` is the block's membership mask.  It is
+    computed in place in the fresh array `sequence_values` returns."""
+    dev = sequence_values(spec, stats)
+    dev -= spec.limit_value
+    np.abs(dev, out=dev)
     dev[: max(0, spec.start_n - stats.lo)] = 0.0
     return dev
 
@@ -199,7 +206,8 @@ def exceptional_members(
     spec: SequenceSpec, eps: float, limit: int, block_size: int = BLOCK
 ) -> Iterator[np.ndarray]:
     """Members of the exceptional set in [start_n, limit], one sorted array
-    per sieve block."""
+    per sieve block, taken as the indices of the block's mask plus its
+    start."""
     if eps <= 0:
         raise InvalidArgumentError(f"tolerance eps must be positive, got {eps}")
     if limit < spec.start_n:
@@ -218,8 +226,9 @@ def exceptional_members(
         block_size=block_size,
         start=spec.start_n,
     ):
-        hit = stats.n[deviation(spec, stats) >= eps]
+        hit = np.flatnonzero(deviation(spec, stats) >= eps)
         if len(hit):
+            hit += stats.lo
             yield hit
 
 

@@ -133,11 +133,12 @@ class _TrendTally(Tally):
 
     peaks: dict[int, float] = field(default_factory=dict)
 
-    def absorb(self, members: np.ndarray, upto: int) -> None:
+    def absorb(self, members: np.ndarray, upto: int, ln_members: np.ndarray) -> None:
+        """`Tally.absorb`, given also the members' logs, which the block has."""
         m = len(members)
         if m:
             ks = np.arange(self.total + 1, self.total + m + 1, dtype=np.float64)
-            ratios = np.log(ks) / np.log(members.astype(np.float64))
+            ratios = np.log(ks) / ln_members
             buckets = np.floor(np.log2(ks) * _TREND_SUB).astype(np.int64)
             starts = np.flatnonzero(np.r_[True, buckets[1:] != buckets[:-1]])
             for b, r in zip(buckets[starts], np.maximum.reduceat(ratios, starts)):
@@ -334,16 +335,22 @@ def statement_suite(
             ap_primes=tuple(sorted(ap_primes)),
             smooth_bounds=bounds,
         ):
+            # members are taken by index: n = lo + index
             for b, tally in smooth.items():
-                tally.absorb(stats.n[stats.smooth_ok[b]], stats.hi)
+                tally.absorb(np.flatnonzero(stats.smooth_ok[b]) + stats.lo, stats.hi)
             gamma_members: dict[float, np.ndarray] = {}
             for sid, specs in scan.items():
                 for spec in specs:
                     dev = deviation(spec, stats)
                     for eps in eps_grid:
                         mask = dev >= eps
-                        members = stats.n[mask]
-                        tallies[(spec.label, eps)].absorb(members, stats.hi)
+                        idx = np.flatnonzero(mask)
+                        members = idx + stats.lo
+                        tally = tallies[(spec.label, eps)]
+                        if sid in ("VII", "VIII"):
+                            tally.absorb(members, stats.hi, stats.ln_n[idx])
+                        else:
+                            tally.absorb(members, stats.hi)
                         if sid == "I":
                             b = smooth_bounds[eps]
                             bad = (

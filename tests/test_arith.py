@@ -59,6 +59,35 @@ def test_is_prime_matches_oracle():
     assert marked == set(primes_upto(1_999))
 
 
+def test_is_prime_matches_the_sieve():
+    assert [n for n in range(2_000, 200_000) if is_prime(n)] == small_primes(
+        199_999, start=2_000
+    ).tolist()
+
+
+@pytest.mark.parametrize(
+    "m",
+    # the least strong pseudoprimes to the bases 2; 2..7; 2..23; 2..37
+    [2047, 3215031751, 3825123056546413051, 318665857834031151167461],
+)
+def test_is_prime_rejects_strong_pseudoprimes(m):
+    assert not is_prime(m)
+
+
+def test_is_prime_of_large_primes():
+    t0 = time.perf_counter()
+    assert is_prime(2**61 - 1) and is_prime(2**64 - 59) and is_prime(10**24 + 7)
+    assert not is_prime((2**61 - 1) * 1000003) and not is_prime(2**64 - 57)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_is_prime_refuses_past_its_exact_range():
+    psi13 = 3317044064679887385961981
+    assert not is_prime(psi13 - 1)
+    with pytest.raises(InvalidArgumentError, match=f"decided below {psi13} only"):
+        is_prime(psi13)
+
+
 def test_small_primes_of_tiny_bounds():
     assert small_primes(1).tolist() == [] and small_primes(2).tolist() == [2]
     assert small_primes(10, start=11).size == 0

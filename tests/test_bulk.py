@@ -15,10 +15,12 @@ from idealconv.errors import InvalidArgumentError
 from oracles import power_exponent, trial_factorize
 
 TOP = 20_000
-# 2, 3 and 7 divide often; 131 sits just under sqrt(TOP) and 1009 above it
+# 2, 3 and 7 divide often; 131 sits just under sqrt(TOP) and 1009 above it,
+# and above bulk.T
 AP_PRIMES = (2, 3, 7, 131, 1009)
-# 211 is a smooth bound above sqrt(TOP), swept only for the smooth masks
-SMOOTH_BOUNDS = (2, 3, 7, 211)
+# 211 is a smooth bound above sqrt(TOP), swept only for the smooth masks;
+# 331 is one above bulk.T
+SMOOTH_BOUNDS = (2, 3, 7, 211, 331)
 
 
 def expected(n: int) -> dict:
@@ -45,6 +47,12 @@ def expected(n: int) -> dict:
 def oracle_columns() -> dict[str, np.ndarray]:
     rows = [expected(n) for n in range(2, TOP + 1)]
     return {key: np.array([r[key] for r in rows]) for key in rows[0]}
+
+
+@lru_cache(maxsize=None)
+def window_columns(lo: int, hi: int) -> dict[str, list]:
+    rows = [expected(n) for n in range(lo, hi + 1)]
+    return {key: [r[key] for r in rows] for key in rows[0]}
 
 
 def scanned(limit: int, **kwargs) -> dict[str, np.ndarray]:
@@ -93,6 +101,38 @@ def test_block_near_two_to_the_36():
     for key in rows[0]:
         np.testing.assert_array_equal(got[key], [r[key] for r in rows], err_msg=key)
     assert got["h_max"].max() == 36 and got["div_count"].max() == 512
+
+
+def _straddling_t() -> tuple[int, ...]:
+    """The two primes below bulk.T and the two above it."""
+    below = bulk.small_primes(bulk.T)[-2:].tolist()
+    above = bulk.small_primes(2 * bulk.T, start=bulk.T + 1)[:2].tolist()
+    return (*below, *above)
+
+
+def _window_centers() -> list[int]:
+    qs = _straddling_t()
+    centers = [q**2 for q in qs] + [q**3 for q in qs]
+    # q**2 * r with r a prime on the other side of bulk.T
+    centers += [q**2 * qs[3 - i] for i, q in enumerate(qs)]
+    return centers + [
+        307**2 * 331 * 31,  # 331-smooth, near 10**9
+        1009**2 * 991,  # ap[1009] = 2, near 10**9
+        10**9 + 7,  # a prime
+        10**12,  # 2**12 * 5**12
+        1009**3 * 977,  # ap[1009] = 3, near 10**12
+    ]
+
+
+@pytest.mark.parametrize("center", _window_centers())
+@pytest.mark.parametrize("block_size", [1, 7, 64])
+def test_windows_across_the_batched_primes(center, block_size):
+    # the primes above bulk.T are swept all at once; the windows hold their
+    # squares, cubes and square multiples, and start at an odd n
+    lo = (center - 20) | 1
+    got = scanned(lo + 40, start=lo, block_size=block_size)
+    for key, col in window_columns(lo, lo + 40).items():
+        np.testing.assert_array_equal(got[key], col, err_msg=key)
 
 
 def test_limit_from_two_to_the_63_is_rejected():

@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -396,6 +397,26 @@ def test_fn_omega_at_three_billion(capsys):
     assert code == 0 and err == "" and out == "n,value\n3000000000,3\n"
 
 
+def test_fn_omega_near_the_sieve_cap(capsys):
+    # one integer below 2**52 sweeps the 3.9 million primes below 2**26; as
+    # Python ints they would take about 140 MB, as an int64 array 31 MB
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "fn", "omega", str(2**52 - 1), "--output", "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == "" and out == f"n,value\n{2**52 - 1},7\n"
+    assert peak < 100 * 2**20
+
+
+def test_fn_ap_of_a_huge_prime(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "fn", "ap", "5", "--p", str(2**61 - 1), "--output", "csv")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and err == "" and out == "n,value\n5,0\n"
+
+
 # inputs that once raised a traceback or a huge allocation
 @pytest.mark.parametrize(
     "argv,message",
@@ -413,8 +434,14 @@ def test_fn_omega_at_three_billion(capsys):
             "prime sieve bound 2147483648 is above the cap 2**26 = 67108864",
         ),
         (("fn", "ap", "48", "--p", "4"), "p=4 is not prime"),
+        (
+            ("aeps", "--seq", "ap", "--p", str(2**89 - 1), "--eps", "0.5"),
+            "primality is decided below 3317044064679887385961981 only",
+        ),
     ],
-    ids=["fn-ap-2**70", "verify-eps-0.05", "fn-omega-2**62", "fn-ap-p4"],
+    ids=[
+        "fn-ap-2**70", "verify-eps-0.05", "fn-omega-2**62", "fn-ap-p4", "aeps-ap-2**89-1",
+    ],
 )
 def test_bad_input_exits_2_at_once(capsys, argv, message):
     t0 = time.perf_counter()
