@@ -182,7 +182,6 @@ def iter_blocks(
     # Python ints: p**k must not wrap at 2**63
     sweep = primes[:split].tolist()
     large = primes[split:]
-    del primes
     if smooth_bounds or ap_primes:
         smooth_primes = (
             small_primes(max(smooth_bounds)).tolist() if smooth_bounds else []

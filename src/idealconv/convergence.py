@@ -141,7 +141,8 @@ def sequence_values(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
         if key == "bigomega_over_loglog":
             return stats.big_omega / lnln_n
         if key in ("loglog_f", "loglog_fstar"):
-            v = 0.5 * stats.div_count  # log f(n) / log n, then on in place
+            # log f(n) / log n, then log f(n) and its log, in one array
+            v = 0.5 * stats.div_count
             if key == "loglog_fstar":
                 v -= 1.0
             v *= ln_n

@@ -347,7 +347,7 @@ def statement_suite(
                         idx = np.flatnonzero(mask)
                         members = idx + stats.lo
                         tally = tallies[(spec.label, eps)]
-                        if sid in ("VII", "VIII"):
+                        if isinstance(tally, _TrendTally):
                             tally.absorb(members, stats.hi, stats.ln_n[idx])
                         else:
                             tally.absorb(members, stats.hi)
