@@ -6,7 +6,7 @@ p <= sqrt(hi), the segmented-sieve idiom, in two tiers split at the constant
 T.  A prime p <= T has at least BLOCK / T multiples in a block, so each gets
 its own Python step, and every update is an in-place numpy operation on a
 strided slice view `arr[(-lo % p**k)::p**k]`: counters get `+= 1` on each
-prime-power view, products get `*= p`, and the statistics that need the
+prime-power view, `value` gets `*= p`, and the statistics that need the
 whole exponent take it from a per-prime exponent array through the p view.
 The primes above T have fewer multiples each, so a Python step per prime
 would cost more than its array work; `_sweep_large` handles all of them in
@@ -14,10 +14,11 @@ one vectorised pass per block, the bucket sieve of Oliveira e Silva, Herzog &
 Pardi (*Math. Comp.* 83, 2014): their multiples' positions come from
 `np.repeat` and `cumsum`, the rare exponents above 1 from division at the
 multiples of p**2, and the fields from `np.add.at` and its kin.  The running
-product of extracted prime powers divides n, so `value < n` exposes the (at
-most one) remaining prime factor > sqrt(hi) as a cofactor.  The valuation
-arrays of `ap_primes` and the products of the smooth masks stay on the
-strided path at every p.
+product `value` of extracted prime powers divides n, so `value < n` exposes
+the (at most one) remaining prime factor > sqrt(hi) as a cofactor, and a
+p0-smooth mask is `n // value <= p0`, read once every prime up to
+min(p0, sqrt(hi)) is in `value` and no larger one is.  The valuation arrays
+of `ap_primes` stay on the strided path at every p.
 
 `exp_gcd` is not swept: the gcd of n's exponents is the largest k with n a
 perfect k-th power, so it is written at the k-th powers m**k in the block,
@@ -154,9 +155,9 @@ def iter_blocks(
     `fields` selects which statistic arrays are computed; `ap_primes` adds
     exact p-adic valuation arrays for those primes (a non-prime raises
     InvalidArgumentError), and `smooth_bounds` adds boolean is-p0-smooth
-    masks for each bound p0.  `limit` must be below 2**63, and the primes
-    swept, up to isqrt(limit) and max(smooth_bounds), at most
-    PRIME_BOUND_CAP.
+    masks for each bound p0, `n // value <= p0` once the running product
+    holds the primes up to p0.  `limit` must be below 2**63, and the primes
+    swept, up to isqrt(limit), at most PRIME_BOUND_CAP.
     """
     unknown = set(fields) - FIELD_NAMES
     if unknown:
@@ -171,8 +172,8 @@ def iter_blocks(
     if limit < start:
         return
     fields = frozenset(fields)
-    # fields the prime sweep fills; exp_gcd comes from the perfect powers
-    need_full = bool(fields - {"exp_gcd"})
+    # the sweep fills the smooth masks and every field but exp_gcd
+    need_full = bool(fields - {"exp_gcd"} or smooth_bounds)
     # fields that combine whole exponents, which a p**k view alone cannot give
     need_exp = bool(fields & {"h_min", "h_max", "div_count"})
     primes = (
@@ -182,11 +183,8 @@ def iter_blocks(
     # Python ints: p**k must not wrap at 2**63
     sweep = primes[:split].tolist()
     large = primes[split:]
-    if smooth_bounds or ap_primes:
-        smooth_primes = (
-            small_primes(max(smooth_bounds)).tolist() if smooth_bounds else []
-        )
-        sweep = sorted(set(sweep).union(smooth_primes, ap_primes))
+    if ap_primes:
+        sweep = sorted(set(sweep).union(ap_primes))
 
     for lo in range(start, limit + 1, block_size):
         hi = min(lo + block_size, limit + 1)
@@ -210,21 +208,21 @@ def iter_blocks(
             stats.exp_gcd = _exp_gcd(lo, hi)
         for p in ap_primes:
             stats.ap[p] = np.zeros(size, dtype=np.int8)
-        smooth_vals = {p0: np.ones(size, dtype=np.int64) for p0 in smooth_bounds}
+        pending = sorted(set(smooth_bounds))  # masks still to read, ascending
 
         sqrt_hi = math.isqrt(hi - 1)
         for p in sweep:
+            in_main = need_full and p <= T and p <= sqrt_hi
+            while in_main and pending and pending[0] < p:
+                p0 = pending.pop(0)
+                stats.smooth_ok[p0] = n_arr // value <= p0
             off = -lo % p
             if off >= size:
                 continue
-            in_main = need_full and p <= T and p <= sqrt_hi
-            # counters gain 1 and products a factor p on each p**k view
+            # counters gain 1 and `value` a factor p on each p**k view
             counters = [stats.ap[p]] if p in stats.ap else []
-            products = [sval for p0, sval in smooth_vals.items() if p <= p0]
-            if in_main:
-                products.append(value)
-                if stats.big_omega is not None:
-                    counters.append(stats.big_omega)
+            if in_main and stats.big_omega is not None:
+                counters.append(stats.big_omega)
             # exponent of p at each multiple of p, indexed along the p view
             e = None
             if in_main and need_exp:
@@ -234,8 +232,8 @@ def iter_blocks(
                 for arr in counters:
                     view = arr[off_k::pk]
                     view += 1
-                for arr in products:
-                    view = arr[off_k::pk]
+                if in_main:
+                    view = value[off_k::pk]
                     view *= p
                 if e is not None:
                     view = e[(off_k - off) // p :: pk // p]
@@ -258,9 +256,13 @@ def iter_blocks(
                 view *= e + 1
 
         if need_full:
-            _sweep_large(
-                stats, value, large[: np.searchsorted(large, sqrt_hi, side="right")]
-            )
+            batch = large[: np.searchsorted(large, sqrt_hi, side="right")]
+            # the masks left are read between pieces of the batched primes
+            pieces = np.split(batch, np.searchsorted(batch, pending, side="right"))
+            for p0, piece in zip(pending, pieces):
+                _sweep_large(stats, value, piece)
+                stats.smooth_ok[p0] = n_arr // value <= p0
+            _sweep_large(stats, value, pieces[-1])
             # the cofactor n / value is 1 or a single prime > sqrt(hi)
             has_rem = value < n_arr
             if stats.h_min is not None:
@@ -273,9 +275,6 @@ def iter_blocks(
                 stats.big_omega += has_rem
             if stats.div_count is not None:
                 stats.div_count <<= has_rem  # doubled where the cofactor is prime
-
-        for p0, sval in smooth_vals.items():
-            stats.smooth_ok[p0] = sval == n_arr
 
         yield stats
 

@@ -18,8 +18,8 @@ TOP = 20_000
 # 2, 3 and 7 divide often; 131 sits just under sqrt(TOP) and 1009 above it,
 # and above bulk.T
 AP_PRIMES = (2, 3, 7, 131, 1009)
-# 211 is a smooth bound above sqrt(TOP), swept only for the smooth masks;
-# 331 is one above bulk.T
+# 211 is a smooth bound above sqrt(TOP), read after the whole sweep there;
+# 331 is one above bulk.T, read between the batched primes near 10**9
 SMOOTH_BOUNDS = (2, 3, 7, 211, 331)
 
 
@@ -55,18 +55,19 @@ def window_columns(lo: int, hi: int) -> dict[str, list]:
     return {key: [r[key] for r in rows] for key in rows[0]}
 
 
-def scanned(limit: int, **kwargs) -> dict[str, np.ndarray]:
+def scanned(limit: int, fields=FIELD_NAMES, **kwargs) -> dict[str, np.ndarray]:
     """iter_blocks over [start, limit], every block checked to be the next
-    one and every column joined across blocks."""
+    one and every column asked for joined across blocks."""
     start = kwargs.get("start", 2)
     parts: dict[str, list[np.ndarray]] = {}
     lo = start
     for stats in iter_blocks(
-        limit, ap_primes=AP_PRIMES, smooth_bounds=SMOOTH_BOUNDS, **kwargs
+        limit, fields, ap_primes=AP_PRIMES, smooth_bounds=SMOOTH_BOUNDS, **kwargs
     ):
         assert stats.lo == lo and stats.n[0] == lo and len(stats.n) == stats.hi - lo
+        assert all(getattr(stats, name) is None for name in FIELD_NAMES - fields)
         lo = stats.hi
-        cols = {name: getattr(stats, name) for name in FIELD_NAMES}
+        cols = {name: getattr(stats, name) for name in fields}
         cols.update({f"ap[{p}]": a for p, a in stats.ap.items()})
         cols.update({f"smooth_ok[{b}]": m for b, m in stats.smooth_ok.items()})
         for key, arr in cols.items():
@@ -75,6 +76,12 @@ def scanned(limit: int, **kwargs) -> dict[str, np.ndarray]:
     return {key: np.concatenate(arrs) for key, arrs in parts.items()}
 
 
+# the smooth masks are read off the sweep whether or not it fills a field
+@pytest.mark.parametrize(
+    "fields",
+    [FIELD_NAMES, frozenset(), frozenset({"exp_gcd"})],
+    ids=["all", "none", "exp_gcd"],
+)
 @settings(max_examples=40, deadline=None)
 @given(
     block_size=st.integers(1, 4097),
@@ -84,10 +91,14 @@ def scanned(limit: int, **kwargs) -> dict[str, np.ndarray]:
 @example(block_size=4097, start=2, blocks=5)
 @example(block_size=1, start=2, blocks=64)
 @example(block_size=1 << 20, start=97, blocks=1)
-def test_blocks_match_trial_factorization(block_size, start, blocks):
+def test_blocks_match_trial_factorization(fields, block_size, start, blocks):
     limit = min(TOP, start - 1 + block_size * blocks)
-    got = scanned(limit, block_size=block_size, start=start)
-    want = oracle_columns()
+    got = scanned(limit, fields, block_size=block_size, start=start)
+    want = {
+        key: col
+        for key, col in oracle_columns().items()
+        if key not in FIELD_NAMES - fields
+    }
     assert got.keys() == want.keys()
     for key, col in want.items():
         np.testing.assert_array_equal(got[key], col[start - 2 : limit - 1], err_msg=key)
@@ -164,3 +175,22 @@ def test_exp_gcd_alone_sweeps_no_prime(monkeypatch):
     assert len(blocks) == 3 and blocks[0].omega is None
     gcds = np.concatenate([s.exp_gcd for s in blocks])
     assert gcds[2**18 - 2] == 18 and gcds[3**11 - 2] == 11 and gcds[10**5 - 2] == 5
+
+
+def test_smooth_bound_above_the_root_sieves_no_larger_prime(monkeypatch):
+    # 22013, statement I's bound at eps 0.1, is far above isqrt(10**5) = 316;
+    # its mask is the cofactor test after the whole sweep
+    limit, bound = 10**5, 22013
+    sieved = []
+    sieve = bulk.small_primes
+
+    def recording(top, start=2):
+        sieved.append(top)
+        return sieve(top, start)
+
+    monkeypatch.setattr(bulk, "small_primes", recording)
+    blocks = iter_blocks(limit, {"omega"}, smooth_bounds=(bound,))
+    got = np.concatenate([stats.smooth_ok[bound] for stats in blocks])
+    assert max(sieved) == math.isqrt(limit)
+    want = [trial_factorize(n)[-1][0] <= bound for n in range(2, limit + 1)]
+    np.testing.assert_array_equal(got, want)

@@ -5,19 +5,23 @@ list in GOLDEN.  The verify and aeps files were written at commit 7a92f98,
 the lambda, construct and classify files at commit 4330b07, the files
 at --limit 1000000, which span several sieve blocks, at commit bfba96a, and
 the fn files, written from the smallest-prime-factor table that `fn` then
-read, at commit 20cb003, and the files at --limit 4000000 and near 10**9,
-written from the per-prime sieve sweep, at commit 29867fe, with
+read, at commit 20cb003, the files at --limit 4000000 and near 10**9,
+written from the per-prime sieve sweep, at commit 29867fe, and the
+`verify --suite I` file, written from the per-bound smooth products, at
+commit 4690f5d, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME...]
 
-which rewrites them from the source tree on the path.  A change that moves
-any byte of csv or json output fails here; regenerate only when the output
-is meant to change, and say why in CHANGES.md.
+which rewrites the named files, or all of them when none is named, from the
+source tree on the path.  A change that moves any byte of csv or json output
+fails here; regenerate only when the output is meant to change, and say why
+in CHANGES.md.
 """
 
 import contextlib
 import io
 import pathlib
+import sys
 
 import pytest
 
@@ -51,6 +55,13 @@ GOLDEN = {
     # bulk.T, across 31 blocks
     "aeps_h_4e6.json": (*_AEPS_4E6, "--seq", "h"),
     "aeps_omega_remark_4e6.json": (*_AEPS_4E6, "--seq", "omega", "--remark"),
+    # statement I's smooth bounds at these eps are 22013, above sqrt(10**6),
+    # 353, between bulk.T and the sqrt of every block's end, and 139, below
+    # bulk.T; the ideal fit at 0.17 is indeterminate, so verify exits 1
+    "verify_I_smooth_1e6.json": (
+        "verify", "--suite", "I", "--eps", "0.1", "--eps", "0.17", "--eps", "0.2",
+        "--limit", "1000000", "--output", "json",
+    ),
     "aeps_ap_p3.csv": ("aeps", "--seq", "ap", "--p", "3", "--eps", "0.5", "--output", "csv"),
     "lambda_power_3_4.json": ("lambda", "--power", "3/4", "--terms", "100000", "--output", "json"),
     "lambda_power_0.25.json": ("lambda", "--power", "0.25", "--terms", "100000", "--output", "json"),
@@ -70,7 +81,9 @@ GOLDEN = {
     "classify_smooth_2_3_less.csv": (
         "classify", "--smooth", "2,3", "--ideal", "less", "--q", "0.25", "--output", "csv",
     ),
-    # every fn name in every format; 2**17 = 131072 is a block edge
+    # every fn name in every format; the csv windows hold 2**17 = 131072, a
+    # 17th power.  `fn` starts its sieve block at the window's start, so they
+    # cross no block edge: tests/test_bulk.py checks the block edges
     **{f"fn_{f}.txt": _fn(f, "1:64", "table") for f in _FNS},
     **{f"fn_{f}.json": _fn(f, "1:300", "json") for f in _FNS},
     **{f"fn_{f}_block_edge.csv": _fn(f, "131060:131080", "csv", p="3") for f in _FNS},
@@ -100,5 +113,5 @@ def test_cli_output_matches_golden(name):
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, argv in GOLDEN.items():
-        (GOLDEN_DIR / name).write_bytes(_stdout(argv).encode())
+    for name in sys.argv[1:] or GOLDEN:
+        (GOLDEN_DIR / name).write_bytes(_stdout(GOLDEN[name]).encode())
