@@ -2,23 +2,24 @@
 
 For whole-range scans (classifying every n up to 1e7, say) per-n factorization
 is far too slow in Python.  Instead each block [lo, hi) is swept by the primes
-p <= sqrt(hi), the segmented-sieve idiom, in two tiers split at the constant
-T.  A prime p <= T has at least BLOCK / T multiples in a block, so each gets
-its own Python step, and every update is an in-place numpy operation on a
-strided slice view `arr[(-lo % p**k)::p**k]`: counters get `+= 1` on each
-prime-power view, `value` gets `*= p`, and the statistics that need the
-whole exponent take it from a per-prime exponent array through the p view.
-The primes above T have fewer multiples each, so a Python step per prime
-would cost more than its array work; `_sweep_large` handles all of them in
-one vectorised pass per block, the bucket sieve of Oliveira e Silva, Herzog &
-Pardi (*Math. Comp.* 83, 2014): their multiples' positions come from
-`np.repeat` and `cumsum`, the rare exponents above 1 from division at the
-multiples of p**2, and the fields from `np.add.at` and its kin.  The running
-product `value` of extracted prime powers divides n, so `value < n` exposes
-the (at most one) remaining prime factor > sqrt(hi) as a cofactor, and a
-p0-smooth mask is `n // value <= p0`, read once every prime up to
-min(p0, sqrt(hi)) is in `value` and no larger one is.  The valuation arrays
-of `ap_primes` stay on the strided path at every p.
+p <= sqrt(hi), the segmented-sieve idiom, cut into pieces at the sorted
+smooth bounds, each piece in two tiers split at the constant T.  A prime
+p <= T has at least BLOCK / T multiples in a block, so `_sweep_small` gives
+each its own Python step of in-place numpy operations on strided views
+`arr[(-lo % p**k)::p**k]`: counters get `+= 1` on each prime-power view,
+`value` gets `*= p`, and the fields that need the whole exponent take it
+from a per-prime exponent array.  The primes above T have fewer multiples,
+so `_sweep_large` handles all of a piece's in one vectorised pass, the
+bucket sieve of Oliveira e Silva, Herzog & Pardi (*Math. Comp.* 83, 2014):
+their multiples' positions come from `np.repeat` and `cumsum`, the rare
+exponents above 1 from division at the multiples of p**2, and the fields
+from `np.add.at` and its kin.  The running product `value` of extracted
+prime powers divides n, so `value < n` exposes the (at most one) remaining
+prime factor > sqrt(hi) as a cofactor.  After the piece that ends at a bound
+p0, `value` holds every prime up to min(p0, sqrt(hi)) and no larger one, so
+the p0-smooth mask `n // value <= p0` is read there as `n // (p0 + 1) <
+value`, one division by a scalar.  The `ap_primes` valuations are strided
+views of their own, beside the sweep.
 
 `exp_gcd` is not swept: the gcd of n's exponents is the largest k with n a
 perfect k-th power, so it is written at the k-th powers m**k in the block,
@@ -155,9 +156,9 @@ def iter_blocks(
     `fields` selects which statistic arrays are computed; `ap_primes` adds
     exact p-adic valuation arrays for those primes (a non-prime raises
     InvalidArgumentError), and `smooth_bounds` adds boolean is-p0-smooth
-    masks for each bound p0, `n // value <= p0` once the running product
-    holds the primes up to p0.  `limit` must be below 2**63, and the primes
-    swept, up to isqrt(limit), at most PRIME_BOUND_CAP.
+    masks for each bound p0, given in any order, each read once after the
+    piece of swept primes that ends at p0.  `limit` must be below 2**63, and
+    the primes swept, up to isqrt(limit), at most PRIME_BOUND_CAP.
     """
     unknown = set(fields) - FIELD_NAMES
     if unknown:
@@ -172,28 +173,16 @@ def iter_blocks(
     if limit < start:
         return
     fields = frozenset(fields)
+    bounds = sorted(set(smooth_bounds))
     # the sweep fills the smooth masks and every field but exp_gcd
-    need_full = bool(fields - {"exp_gcd"} or smooth_bounds)
-    # fields that combine whole exponents, which a p**k view alone cannot give
-    need_exp = bool(fields & {"h_min", "h_max", "div_count"})
-    primes = (
-        small_primes(math.isqrt(limit)) if need_full else np.empty(0, dtype=np.int64)
-    )
-    split = int(np.searchsorted(primes, T, side="right"))
-    # Python ints: p**k must not wrap at 2**63
-    sweep = primes[:split].tolist()
-    large = primes[split:]
-    if ap_primes:
-        sweep = sorted(set(sweep).union(ap_primes))
+    need_full = bool(fields - {"exp_gcd"} or bounds)
+    primes = small_primes(math.isqrt(limit)) if need_full else None
 
     for lo in range(start, limit + 1, block_size):
         hi = min(lo + block_size, limit + 1)
         size = hi - lo
         n_arr = np.arange(lo, hi, dtype=np.int64)
         stats = BlockStats(lo=lo, hi=hi, n=n_arr)
-
-        # running product of the prime powers found so far; it divides n
-        value = np.ones(size, dtype=np.int64) if need_full else None
         if "h_min" in fields:
             stats.h_min = np.full(size, _NO_EXPONENT, dtype=np.int8)
         if "h_max" in fields:
@@ -207,62 +196,28 @@ def iter_blocks(
         if "exp_gcd" in fields:
             stats.exp_gcd = _exp_gcd(lo, hi)
         for p in ap_primes:
-            stats.ap[p] = np.zeros(size, dtype=np.int8)
-        pending = sorted(set(smooth_bounds))  # masks still to read, ascending
-
-        sqrt_hi = math.isqrt(hi - 1)
-        for p in sweep:
-            in_main = need_full and p <= T and p <= sqrt_hi
-            while in_main and pending and pending[0] < p:
-                p0 = pending.pop(0)
-                stats.smooth_ok[p0] = n_arr // value <= p0
-            off = -lo % p
-            if off >= size:
-                continue
-            # counters gain 1 and `value` a factor p on each p**k view
-            counters = [stats.ap[p]] if p in stats.ap else []
-            if in_main and stats.big_omega is not None:
-                counters.append(stats.big_omega)
-            # exponent of p at each multiple of p, indexed along the p view
-            e = None
-            if in_main and need_exp:
-                e = np.zeros(len(range(off, size, p)), dtype=np.int8)
-            pk, off_k = p, off
-            while off_k < size:
-                for arr in counters:
-                    view = arr[off_k::pk]
-                    view += 1
-                if in_main:
-                    view = value[off_k::pk]
-                    view *= p
-                if e is not None:
-                    view = e[(off_k - off) // p :: pk // p]
-                    view += 1
+            # 1 on each p**k view; Python ints, so p**k cannot wrap at 2**63
+            val = stats.ap[p] = np.zeros(size, dtype=np.int8)
+            pk = p
+            while (off := -lo % pk) < size:
+                val[off::pk] += 1
                 pk *= p
-                off_k = -lo % pk
-            if not in_main:
-                continue
-            if stats.omega is not None:
-                view = stats.omega[off::p]
-                view += 1
-            if stats.h_min is not None:
-                view = stats.h_min[off::p]
-                np.minimum(view, e, out=view)
-            if stats.h_max is not None:
-                view = stats.h_max[off::p]
-                np.maximum(view, e, out=view)
-            if stats.div_count is not None:
-                view = stats.div_count[off::p]
-                view *= e + 1
 
         if need_full:
-            batch = large[: np.searchsorted(large, sqrt_hi, side="right")]
-            # the masks left are read between pieces of the batched primes
-            pieces = np.split(batch, np.searchsorted(batch, pending, side="right"))
-            for p0, piece in zip(pending, pieces):
-                _sweep_large(stats, value, piece)
-                stats.smooth_ok[p0] = n_arr // value <= p0
-            _sweep_large(stats, value, pieces[-1])
+            # running product of the prime powers found so far; it divides n
+            value = np.ones(size, dtype=np.int64)
+            swept = primes[: np.searchsorted(primes, math.isqrt(hi - 1), side="right")]
+            pieces = np.split(swept, np.searchsorted(swept, bounds, side="right"))
+            for i, piece in enumerate(pieces):
+                cut = np.searchsorted(piece, T, side="right")
+                _sweep_small(stats, value, piece[:cut].tolist())
+                _sweep_large(stats, value, piece[cut:])
+                if i < len(bounds):
+                    # n // value <= p0 by a scalar divisor, clipped to
+                    # [0, limit], which keeps the mask exact and in int64
+                    p0 = bounds[i]
+                    div = min(max(p0, 0), limit) + 1
+                    stats.smooth_ok[p0] = n_arr // div < value
             # the cofactor n / value is 1 or a single prime > sqrt(hi)
             has_rem = value < n_arr
             if stats.h_min is not None:
@@ -277,6 +232,42 @@ def iter_blocks(
                 stats.div_count <<= has_rem  # doubled where the cofactor is prime
 
         yield stats
+
+
+def _sweep_small(stats: BlockStats, value: np.ndarray, primes: list[int]) -> None:
+    """Sweep one block with primes up to T, each through the strided views of
+    its powers' multiples."""
+    lo, size = stats.lo, stats.hi - stats.lo
+    # fields that combine whole exponents, which a p**k view alone cannot give
+    need_exp = any(a is not None for a in (stats.h_min, stats.h_max, stats.div_count))
+    for p in primes:
+        off = -lo % p
+        # exponent of p at each multiple of p, indexed along the p view
+        e = np.zeros(len(range(off, size, p)), dtype=np.int8) if need_exp else None
+        pk = p
+        while (off_k := -lo % pk) < size:
+            # `value` gains a factor p and big_omega 1 on each p**k view
+            view = value[off_k::pk]
+            view *= p
+            if stats.big_omega is not None:
+                view = stats.big_omega[off_k::pk]
+                view += 1
+            if e is not None:
+                view = e[(off_k - off) // p :: pk // p]
+                view += 1
+            pk *= p
+        if stats.omega is not None:
+            view = stats.omega[off::p]
+            view += 1
+        if stats.h_min is not None:
+            view = stats.h_min[off::p]
+            np.minimum(view, e, out=view)
+        if stats.h_max is not None:
+            view = stats.h_max[off::p]
+            np.maximum(view, e, out=view)
+        if stats.div_count is not None:
+            view = stats.div_count[off::p]
+            view *= e + 1
 
 
 def _multiples(
@@ -295,6 +286,8 @@ def _sweep_large(stats: BlockStats, value: np.ndarray, primes: np.ndarray) -> No
     so a Python step per prime would cost more than its array work.
     Exponents above 1 are rare (p**2 > T**2 at least) and are found by
     division at the multiples of p**2."""
+    if not len(primes):
+        return
     lo, size = stats.lo, stats.hi - stats.lo
     # int32 remainders (each below p < 2**26) halve the one temporary as long
     # as the prime list, 3.9 million entries in a window near the sieve cap

@@ -37,8 +37,8 @@ import numpy as np
 
 from .bulk import iter_blocks, small_primes
 from .convergence import (
-    SequenceSpec,
     Tally,
+    default_envelope,
     deviation,
     envelope_rows,
     exceptional_members,
@@ -78,6 +78,25 @@ _REMARK_BAR = 0.80
 _REMARK_BLOCKING_MAX_EPS = 0.5
 # resolution for the streamed trend statistic: k-buckets per doubling of k
 _TREND_SUB = 64
+
+# the (sequence key, prime) pairs each statement adds to the shared scan
+_SCAN = {
+    "I": (("min_exponent_over_log", None),),
+    "II": (("max_exponent_over_log", None),),
+    "III": (("valuation_scaled", 2), ("valuation_scaled", 3)),
+    "IV": (("power_rep_count", None),),
+    "V": (("power_rep_weight", None),),
+    "VII": (("omega_over_loglog", None), ("bigomega_over_loglog", None)),
+    "VIII": (("loglog_f", None), ("loglog_fstar", None)),
+}
+# statements checked against an envelope and a decay verdict:
+# (envelope check label, verdict rule, exponent q)
+_FIT = {
+    "II": ("max_exponent", classify_rows_less, 1.0),
+    "III": ("valuation p={p}", classify_rows_less, 1.0),
+    "IV": ("power", classify_rows_leq, 0.5),
+    "V": ("power", classify_rows_leq, 0.5),
+}
 
 
 @dataclass(frozen=True)
@@ -243,32 +262,6 @@ def _limsup_check(label: str, tally: _TrendTally, eps: float) -> CheckResult:
     )
 
 
-def _scan_specs(statements: tuple[str, ...]) -> dict[str, list[SequenceSpec]]:
-    """Sequences each included statement contributes to the shared scan."""
-    out: dict[str, list[SequenceSpec]] = {}
-    if "I" in statements:
-        out["I"] = [sequence_spec("min_exponent_over_log")]
-    if "II" in statements:
-        out["II"] = [sequence_spec("max_exponent_over_log")]
-    if "III" in statements:
-        out["III"] = [
-            sequence_spec("valuation_scaled", p=2),
-            sequence_spec("valuation_scaled", p=3),
-        ]
-    if "IV" in statements:
-        out["IV"] = [sequence_spec("power_rep_count")]
-    if "V" in statements:
-        out["V"] = [sequence_spec("power_rep_weight")]
-    if "VII" in statements:
-        out["VII"] = [
-            sequence_spec("omega_over_loglog"),
-            sequence_spec("bigomega_over_loglog"),
-        ]
-    if "VIII" in statements:
-        out["VIII"] = [sequence_spec("loglog_f"), sequence_spec("loglog_fstar")]
-    return out
-
-
 def statement_suite(
     limit: int,
     checkpoints: Checkpoints | None = None,
@@ -302,7 +295,11 @@ def statement_suite(
     cps = cp.values
     xs = list(cps)
 
-    scan = _scan_specs(stmts)
+    scan = {
+        sid: [sequence_spec(key, p) for key, p in _SCAN[sid]]
+        for sid in stmts
+        if sid in _SCAN
+    }
     fields: set[str] = set()
     ap_primes: set[int] = set()
     for specs in scan.values():
@@ -385,42 +382,18 @@ def statement_suite(
                         tallies, smooth_bounds, smooth, violations[eps], eps, xs, pol
                     )
                 )
-            elif sid == "II":
-                key = "max_exponent_over_log"
-                counts = tallies[(key, eps)].counts
-                checks.append(
-                    _envelope_check(
-                        "max_exponent", "max_exponent", eps, cps, counts, None
+            elif sid in _FIT:
+                label, classify, q = _FIT[sid]
+                for spec in scan[sid]:
+                    counts = tallies[(spec.label, eps)].counts
+                    kind = default_envelope(spec)
+                    env = _envelope_check(
+                        label.format(p=spec.p), kind, eps, cps, counts, spec.p
                     )
-                )
-                checks.append(
-                    _verdict_check(
-                        "ideal-fit", classify_rows_less(key, 1.0, xs, counts, None, pol)
-                    )
-                )
-            elif sid == "III":
-                for p in (2, 3):
-                    key = f"valuation_scaled(p={p})"
-                    counts = tallies[(key, eps)].counts
-                    checks.append(
-                        _envelope_check(
-                            f"valuation p={p}", "prime_valuation", eps, cps, counts, p
-                        )
-                    )
-                    v = classify_rows_less(key, 1.0, xs, counts, None, pol)
-                    checks.append(_verdict_check(f"ideal-fit[p={p}]", v))
-            elif sid in ("IV", "V"):
-                key = "power_rep_count" if sid == "IV" else "power_rep_weight"
-                counts = tallies[(key, eps)].counts
-                checks.append(
-                    _envelope_check("power", "perfect_power", eps, cps, counts, None)
-                )
-                checks.append(
-                    _verdict_check(
-                        "ideal-fit", classify_rows_leq(key, 0.5, xs, counts, None, pol)
-                    )
-                )
-                if "IV" in stmts and "V" in stmts:
+                    tag = f"[p={spec.p}]" if spec.p is not None else ""
+                    v = classify(spec.label, q, xs, counts, None, pol)
+                    checks += [env, _verdict_check(f"ideal-fit{tag}", v)]
+                if sid in ("IV", "V") and "IV" in stmts and "V" in stmts:
                     wit = (
                         f"; first differing member {eq_witness[eps]}"
                         if eq_witness[eps] is not None

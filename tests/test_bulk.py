@@ -19,8 +19,9 @@ TOP = 20_000
 # and above bulk.T
 AP_PRIMES = (2, 3, 7, 131, 1009)
 # 211 is a smooth bound above sqrt(TOP), read after the whole sweep there;
-# 331 is one above bulk.T, read between the batched primes near 10**9
-SMOOTH_BOUNDS = (2, 3, 7, 211, 331)
+# 293, the largest prime up to bulk.T, ends a piece at the tier boundary
+# near 10**9, and 331, one above bulk.T, is read between the batched primes
+SMOOTH_BOUNDS = (2, 3, 7, 211, 293, 331)
 
 
 def expected(n: int) -> dict:
@@ -194,3 +195,33 @@ def test_smooth_bound_above_the_root_sieves_no_larger_prime(monkeypatch):
     assert max(sieved) == math.isqrt(limit)
     want = [trial_factorize(n)[-1][0] <= bound for n in range(2, limit + 1)]
     np.testing.assert_array_equal(got, want)
+
+
+def test_smooth_bounds_in_any_order():
+    # an unsorted bound list with a repeat reads the masks of the sorted one,
+    # here across the batched primes near 10**9
+    lo, limit = 10**9 - 300, 10**9 + 300
+    got, want = (
+        list(iter_blocks(limit, {"omega"}, smooth_bounds=b, block_size=100, start=lo))
+        for b in [(53, 2, 53), (2, 53)]
+    )
+    assert len(got) == len(want) == 7
+    for g, w in zip(got, want):
+        assert g.smooth_ok.keys() == {2, 53}
+        for b in (2, 53):
+            np.testing.assert_array_equal(g.smooth_ok[b], w.smooth_ok[b], err_msg=str(b))
+    smooth = np.concatenate([g.smooth_ok[53] for g in got])
+    assert smooth[300]  # 10**9 = 2**9 * 5**9
+    np.testing.assert_array_equal(
+        smooth, [trial_factorize(n)[-1][0] <= 53 for n in range(lo, limit + 1)]
+    )
+
+
+def test_smooth_bounds_past_either_end():
+    # no n >= 2 is p0-smooth for p0 < 2, and every n <= limit is for
+    # p0 >= limit, even past 2**63
+    (stats,) = iter_blocks(1000, {"omega"}, smooth_bounds=(-5, 0, 1, 1000, 2**64))
+    for b in (-5, 0, 1):
+        assert not stats.smooth_ok[b].any()
+    for b in (1000, 2**64):
+        assert stats.smooth_ok[b].all()
