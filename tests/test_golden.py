@@ -8,7 +8,8 @@ the fn files, written from the smallest-prime-factor table that `fn` then
 read, at commit 20cb003, the files at --limit 4000000 and near 10**9,
 written from the per-prime sieve sweep, at commit 29867fe, and the
 `verify --suite I` file, written from the per-bound smooth products, at
-commit 4690f5d, with
+commit 4690f5d, and the two classify files at q = 0.5 and 0.25, written from
+the `DecayPolicy` dataclass, at commit ad92edc, with
 
     PYTHONPATH=src python tests/test_golden.py [NAME...]
 
@@ -80,6 +81,14 @@ GOLDEN = {
     ),
     "classify_smooth_2_3_less.csv": (
         "classify", "--smooth", "2,3", "--ideal", "less", "--q", "0.25", "--output", "csv",
+    ),
+    # a below-q verdict's delta_used and policy fields, and the table's
+    # policy head line
+    "classify_smooth_2_3_less_0.5.json": (
+        "classify", "--smooth", "2,3", "--ideal", "less", "--q", "0.5", "--output", "json",
+    ),
+    "classify_power_1_2_leq_0.25.txt": (
+        "classify", "--power", "1/2", "--ideal", "leq", "--q", "0.25",
     ),
     # every fn name in every format; the csv windows hold 2**17 = 131072, a
     # 17th power.  `fn` starts its sieve block at the window's start, so they
