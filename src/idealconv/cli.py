@@ -409,7 +409,7 @@ def _cmd_aeps(args) -> int:
     cp = (
         _parse_checkpoints(args.checkpoints)
         if args.checkpoints
-        else Checkpoints.default(args.limit)
+        else Checkpoints.geometric(args.limit)
     )
     if cp.values[-1] > args.limit:
         raise InvalidArgumentError(

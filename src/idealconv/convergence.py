@@ -209,7 +209,7 @@ def exceptional_members(
     """Members of the exceptional set in [start_n, limit], one sorted array
     per sieve block, taken as the indices of the block's mask plus its
     start."""
-    if eps <= 0:
+    if not eps > 0:
         raise InvalidArgumentError(f"tolerance eps must be positive, got {eps}")
     if limit < spec.start_n:
         return
@@ -248,7 +248,7 @@ def smooth_bound_for(eps: float) -> int | None:
     Every member of the min-exponent exceptional set is p-smooth for this
     bound: a prime factor q > p would force x_n <= 1/log q < eps.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise InvalidArgumentError(f"tolerance eps must be positive, got {eps}")
     if eps * math.log(PRIME_BOUND_CAP + 1) <= 1:
         raise InvalidArgumentError(

@@ -8,12 +8,12 @@ finite counting evidence:
   * "at most q":  for every delta > 0 the series A(x) / x**(q+delta) -> 0;
   * "below q":    for some delta > 0 the series A(x) / x**(q-delta) -> 0.
 
-A finite table of ratios can never witness a limit, so verdicts follow an
-explicit decay policy (see `DecayPolicy`): a series counts as vanishing when
-its final window is nonincreasing and it has either dropped below
-`drop_factor` times its starting value or sustained a log-log decay rate of
-at least `rate_fraction * delta`.  Every verdict records the policy and the
-evidence rows it was based on, and verdicts may be INDETERMINATE.
+A finite table of ratios can never witness a limit, so verdicts follow fixed
+decay rules: a series counts as vanishing when its final window is
+nonincreasing and it has either dropped below `_DROP_FACTOR` times its
+starting value or sustained a log-log decay rate of at least
+`_RATE_FRACTION * delta`.  Every verdict records these rules (`POLICY`) and
+the evidence rows it was based on, and verdicts may be INDETERMINATE.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "Verdict",
     "Ideal",
     "ExponentEstimate",
-    "DecayPolicy",
     "EvidenceRow",
     "IdealVerdict",
     "ChainReport",
@@ -160,66 +159,55 @@ def estimate_lambda(
 
 
 # ---------------------------------------------------------------------------
-# decay policy over finite ratio series
+# decay rules over finite ratio series
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecayPolicy:
-    """What finite evidence counts as a vanishing ratio series.
+# A series r_1, ..., r_m over checkpoints x_1 < ... < x_m (at margin delta)
+# *decays* when its final window (the last third of the points, at least 3)
+# is nonincreasing up to _REL_TOL, and either the last value is below
+# _DROP_FACTOR * r_1 or the log-log slope across the window is at most
+# -_RATE_FRACTION * delta.  It *grows* when the final window is nondecreasing
+# with a strictly positive net change.
+_DROP_FACTOR = 0.1
+_RATE_FRACTION = 0.5
+_REL_TOL = 1e-9
 
-    A series r_1, ..., r_m over checkpoints x_1 < ... < x_m (at margin
-    delta) *decays* when its final window (the last `window_fraction` of
-    points, at least `min_window`) is nonincreasing up to `rel_tol`, and
-    either the last value is below `drop_factor * r_1` or the fitted
-    log-log slope over the window is at most `-rate_fraction * delta`.
-    It *grows* when the final window is nondecreasing with a strictly
-    positive net change.
-    """
+POLICY = (
+    f"decay = nonincreasing final window and (drop below "
+    f"{_DROP_FACTOR:g} x start or log-log rate >= {_RATE_FRACTION:g} x delta)"
+)
 
-    drop_factor: float = 0.1
-    rate_fraction: float = 0.5
-    window_fraction: float = 1 / 3
-    min_window: int = 3
-    rel_tol: float = 1e-9
 
-    def window(self, m: int) -> int:
-        return min(m, max(self.min_window, math.ceil(m * self.window_fraction)))
+def _window(m: int) -> int:
+    return min(m, max(3, math.ceil(m / 3)))
 
-    def describe(self) -> str:
-        return (
-            f"decay = nonincreasing final window and (drop below "
-            f"{self.drop_factor:g} x start or log-log rate >= "
-            f"{self.rate_fraction:g} x delta)"
-        )
 
-    def series_decays(self, xs: list[int], ratios: list[float], delta: float) -> bool:
-        m = len(ratios)
-        w = self.window(m)
-        win = ratios[m - w :]
-        wxs = xs[m - w :]
-        if any(
-            b > a_ * (1 + self.rel_tol) + 1e-300 for a_, b in zip(win, win[1:])
-        ):
-            return False
-        if win[-1] == 0.0:
-            return True
-        if ratios[0] > 0 and win[-1] <= self.drop_factor * ratios[0]:
-            return True
-        if win[0] <= 0:
-            return False
-        rate = (math.log(win[0]) - math.log(win[-1])) / (
-            math.log(wxs[-1]) - math.log(wxs[0])
-        )
-        return rate >= self.rate_fraction * delta
+def _series_decays(xs: list[int], ratios: list[float], delta: float) -> bool:
+    m = len(ratios)
+    w = _window(m)
+    win = ratios[m - w :]
+    wxs = xs[m - w :]
+    if any(b > a_ * (1 + _REL_TOL) + 1e-300 for a_, b in zip(win, win[1:])):
+        return False
+    if win[-1] == 0.0:
+        return True
+    if ratios[0] > 0 and win[-1] <= _DROP_FACTOR * ratios[0]:
+        return True
+    if win[0] <= 0:
+        return False
+    rate = (math.log(win[0]) - math.log(win[-1])) / (
+        math.log(wxs[-1]) - math.log(wxs[0])
+    )
+    return rate >= _RATE_FRACTION * delta
 
-    def series_grows(self, xs: list[int], ratios: list[float]) -> bool:
-        m = len(ratios)
-        w = self.window(m)
-        win = ratios[m - w :]
-        if any(b < a_ * (1 - self.rel_tol) for a_, b in zip(win, win[1:])):
-            return False
-        return win[-1] > win[0] * (1 + self.rel_tol)
+
+def _series_grows(xs: list[int], ratios: list[float]) -> bool:
+    w = _window(len(ratios))
+    win = ratios[len(ratios) - w :]
+    if any(b < a_ * (1 - _REL_TOL) for a_, b in zip(win, win[1:])):
+        return False
+    return win[-1] > win[0] * (1 + _REL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +263,7 @@ class ChainReport:
 
 
 def _valid_checkpoints(checkpoints: Checkpoints | None, default_cap: int) -> Checkpoints:
-    cp = checkpoints or Checkpoints.default(default_cap)
+    cp = checkpoints or Checkpoints.geometric(default_cap)
     if len(cp.values) < 3:
         raise InvalidArgumentError("need at least 3 checkpoints")
     if cp.decades() < 3:
@@ -298,7 +286,7 @@ def _leq_deltas(q: float, deltas: tuple[float, ...] | None) -> tuple[float, ...]
     if not deltas:
         raise InvalidArgumentError("delta grid must not be empty")
     for d in deltas:
-        if d <= 0:
+        if not d > 0:
             raise InvalidArgumentError(f"delta must be positive, got {d}")
         if q + d > 1:
             raise InvalidArgumentError(
@@ -328,7 +316,6 @@ def classify_rows_leq(
     xs: list[int],
     counts: list[int],
     deltas: tuple[float, ...] | None,
-    policy: DecayPolicy,
 ) -> IdealVerdict:
     """Verdict for "exponent at most q" from precomputed counts; deltas=None
     means the default grid."""
@@ -340,9 +327,9 @@ def classify_rows_leq(
         evidence.extend(
             EvidenceRow(d, x, c, r) for x, c, r in zip(xs, counts, ratios)
         )
-        if not policy.series_decays(xs, ratios, d):
+        if not _series_decays(xs, ratios, d):
             all_decay = False
-            if policy.series_grows(xs, ratios):
+            if _series_grows(xs, ratios):
                 any_grow = True
     if all_decay:
         verdict = Verdict.CONSISTENT
@@ -357,7 +344,7 @@ def classify_rows_leq(
         verdict=verdict,
         delta_used=None,
         evidence=tuple(evidence),
-        notes=(policy.describe(),),
+        notes=(POLICY,),
     )
 
 
@@ -367,7 +354,6 @@ def classify_rows_less(
     xs: list[int],
     counts: list[int],
     deltas: tuple[float, ...] | None,
-    policy: DecayPolicy,
 ) -> IdealVerdict:
     """Verdict for "exponent below q" from precomputed counts; deltas=None
     means the default grid."""
@@ -379,9 +365,9 @@ def classify_rows_less(
         evidence.extend(
             EvidenceRow(d, x, c, r) for x, c, r in zip(xs, counts, ratios)
         )
-        if witness is None and policy.series_decays(xs, ratios, d):
+        if witness is None and _series_decays(xs, ratios, d):
             witness = d
-        if policy.series_grows(xs, ratios):
+        if _series_grows(xs, ratios):
             if grow_delta is None or d < grow_delta:
                 grow_delta = d
     if witness is not None:
@@ -397,7 +383,7 @@ def classify_rows_less(
         verdict=verdict,
         delta_used=witness,
         evidence=tuple(evidence),
-        notes=(policy.describe(),),
+        notes=(POLICY,),
     )
 
 
@@ -406,20 +392,18 @@ def classify_leq(
     q: float,
     deltas: tuple[float, ...] | None = None,
     checkpoints: Checkpoints | None = None,
-    policy: DecayPolicy | None = None,
 ) -> IdealVerdict:
     """Is the evidence consistent with exponent(A) <= q?
 
     Tests A(x) / x**(q + delta) for every delta in the grid; consistent only
-    when every series decays under the policy.
+    when every series decays under the decay rules.
     """
     if not 0 <= q < 1:
         raise InvalidArgumentError(f"q must be in [0, 1) for an at-most verdict, got {q}")
     deltas = _leq_deltas(q, deltas)
     cp = _valid_checkpoints(checkpoints, 10**7)
-    pol = policy or DecayPolicy()
     counts = _counts_at(a, cp)
-    return classify_rows_leq(a.label, q, list(cp.values), counts, deltas, pol)
+    return classify_rows_leq(a.label, q, list(cp.values), counts, deltas)
 
 
 def classify_less(
@@ -427,7 +411,6 @@ def classify_less(
     q: float,
     deltas: tuple[float, ...] | None = None,
     checkpoints: Checkpoints | None = None,
-    policy: DecayPolicy | None = None,
 ) -> IdealVerdict:
     """Is the evidence consistent with exponent(A) < q?
 
@@ -438,9 +421,8 @@ def classify_less(
         raise InvalidArgumentError(f"q must be in (0, 1] for a below verdict, got {q}")
     deltas = _less_deltas(q, deltas)
     cp = _valid_checkpoints(checkpoints, 10**7)
-    pol = policy or DecayPolicy()
     counts = _counts_at(a, cp)
-    return classify_rows_less(a.label, q, list(cp.values), counts, deltas, pol)
+    return classify_rows_less(a.label, q, list(cp.values), counts, deltas)
 
 
 def partial_sum_probe(
@@ -453,7 +435,7 @@ def partial_sum_probe(
     """
     if not 0 < q <= 1:
         raise InvalidArgumentError(f"series exponent must be in (0, 1], got {q}")
-    cp = checkpoints or Checkpoints.default(10**7)
+    cp = checkpoints or Checkpoints.geometric(10**7)
     out: list[tuple[int, float]] = []
     total = 0.0
     it = iter(a)
@@ -470,7 +452,6 @@ def chain_report(
     a: IntegerSet,
     q_grid: tuple[float, ...],
     checkpoints: Checkpoints | None = None,
-    policy: DecayPolicy | None = None,
 ) -> ChainReport:
     """at-most verdicts along an increasing q grid, with a monotonicity check.
 
@@ -483,10 +464,9 @@ def chain_report(
     if any(not 0 <= q < 1 for q in q_grid):
         raise InvalidArgumentError("q grid values must lie in [0, 1)")
     cp = _valid_checkpoints(checkpoints, 10**7)
-    pol = policy or DecayPolicy()
     counts = _counts_at(a, cp)
     verdicts = [
-        classify_rows_leq(a.label, q, list(cp.values), counts, None, pol)
+        classify_rows_leq(a.label, q, list(cp.values), counts, None)
         for q in q_grid
     ]
     seen_consistent = False

@@ -103,10 +103,6 @@ class IntegerSet:
 
     # -- queries ------------------------------------------------------------
 
-    @property
-    def exhausted(self) -> bool:
-        return self._it is None
-
     def term(self, i: int) -> int:
         """The i-th element, 1-indexed."""
         if i < 1:
@@ -184,10 +180,6 @@ class Checkpoints:
             vals.append(v)
             v *= factor
         return Checkpoints(tuple(vals))
-
-    @staticmethod
-    def default(cap: int = 10**7) -> "Checkpoints":
-        return Checkpoints.geometric(cap)
 
     def decades(self) -> float:
         return math.log10(self.values[-1] / self.values[0])

@@ -47,7 +47,7 @@ from .convergence import (
     smooth_bound_for,
 )
 from .errors import InvalidArgumentError
-from .exponent import DecayPolicy, Verdict, classify_rows_leq, classify_rows_less
+from .exponent import Verdict, classify_rows_leq, classify_rows_less
 from .sets import Checkpoints
 
 __all__ = [
@@ -192,12 +192,11 @@ def _count_bound(x: int, primes: list[int]) -> float:
     return b
 
 
-def _verdict_check(name: str, verdict_obj, want=Verdict.CONSISTENT) -> CheckResult:
+def _verdict_check(name: str, verdict_obj) -> CheckResult:
     rows = tuple(
         {"delta": r.delta, "x": r.x, "count": r.count, "ratio": r.ratio}
         for r in verdict_obj.evidence
     )
-    ok = verdict_obj.verdict is want
     extra = (
         f", witness delta={verdict_obj.delta_used:g}"
         if verdict_obj.delta_used is not None
@@ -205,7 +204,7 @@ def _verdict_check(name: str, verdict_obj, want=Verdict.CONSISTENT) -> CheckResu
     )
     return CheckResult(
         name=name,
-        passed=ok,
+        passed=verdict_obj.verdict is Verdict.CONSISTENT,
         blocking=True,
         details=f"verdict={verdict_obj.verdict.value} at q={verdict_obj.q:g}{extra}; "
         + verdict_obj.notes[0],
@@ -268,7 +267,6 @@ def statement_suite(
     eps_grid: tuple[float, ...] = (0.25, 0.5, 1.0),
     statements: tuple[str, ...] | None = None,
     pascal_check_limit: int = 100_000,
-    policy: DecayPolicy | None = None,
 ) -> SuiteReport:
     """Run the verification checklist over [2, limit].
 
@@ -283,7 +281,7 @@ def statement_suite(
         raise InvalidArgumentError(
             f"checkpoint {cp.values[-1]} exceeds the scan limit {limit}"
         )
-    if any(e <= 0 for e in eps_grid):
+    if any(not e > 0 for e in eps_grid):
         raise InvalidArgumentError("eps grid must be positive")
     eps_grid = tuple(eps_grid)
     stmts = tuple(statements) if statements is not None else STATEMENTS
@@ -291,7 +289,6 @@ def statement_suite(
     if unknown:
         raise InvalidArgumentError(f"unknown statements: {sorted(unknown)}")
     stmts = tuple(s for s in STATEMENTS if s in stmts)
-    pol = policy or DecayPolicy()
     cps = cp.values
     xs = list(cps)
 
@@ -368,7 +365,7 @@ def statement_suite(
                                         eq_witness[eps] = int(diff[0])
 
     vi_checks = (
-        _statement_vi_checks(eps_grid, limit, cps, pascal_check_limit, pol)
+        _statement_vi_checks(eps_grid, limit, cps, pascal_check_limit)
         if "VI" in stmts
         else {}
     )
@@ -379,7 +376,7 @@ def statement_suite(
             if sid == "I":
                 checks.extend(
                     _statement_i_checks(
-                        tallies, smooth_bounds, smooth, violations[eps], eps, xs, pol
+                        tallies, smooth_bounds, smooth, violations[eps], eps, xs
                     )
                 )
             elif sid in _FIT:
@@ -391,7 +388,7 @@ def statement_suite(
                         label.format(p=spec.p), kind, eps, cps, counts, spec.p
                     )
                     tag = f"[p={spec.p}]" if spec.p is not None else ""
-                    v = classify(spec.label, q, xs, counts, None, pol)
+                    v = classify(spec.label, q, xs, counts, None)
                     checks += [env, _verdict_check(f"ideal-fit{tag}", v)]
                 if sid in ("IV", "V") and "IV" in stmts and "V" in stmts:
                     wit = (
@@ -425,7 +422,7 @@ def statement_suite(
 
 
 def _statement_i_checks(
-    tallies, smooth_bounds, smooth, vio, eps, xs, pol
+    tallies, smooth_bounds, smooth, vio, eps, xs
 ) -> list[CheckResult]:
     key = "min_exponent_over_log"
     tally = tallies[(key, eps)]
@@ -470,7 +467,7 @@ def _statement_i_checks(
         )
     checks.append(
         _verdict_check(
-            "ideal-fit", classify_rows_leq(key, 0.25, xs, tally.counts, None, pol)
+            "ideal-fit", classify_rows_leq(key, 0.25, xs, tally.counts, None)
         )
     )
     return checks
@@ -481,7 +478,6 @@ def _statement_vi_checks(
     limit: int,
     cps: tuple[int, ...],
     pascal_check_limit: int,
-    pol: DecayPolicy,
 ) -> dict[float, list[CheckResult]]:
     """Statement VI's checks for each eps; the per-n Pascal counts of the
     membership-agreement check are computed once for the whole grid."""
@@ -490,7 +486,7 @@ def _statement_vi_checks(
     check_to = min(limit, pascal_check_limit)
     direct_counts = [pascal_count(n) for n in range(2, check_to + 1)]
     return {
-        eps: _statement_vi_eps_checks(eps, limit, cps, check_to, direct_counts, pol)
+        eps: _statement_vi_eps_checks(eps, limit, cps, check_to, direct_counts)
         for eps in eps_grid
     }
 
@@ -501,7 +497,6 @@ def _statement_vi_eps_checks(
     cps: tuple[int, ...],
     check_to: int,
     direct_counts: list[int],
-    pol: DecayPolicy,
 ) -> list[CheckResult]:
     pascal = sequence_spec("pascal_count")
     members = np.concatenate(
@@ -539,7 +534,6 @@ def _statement_vi_eps_checks(
                     list(vi_cp.values),
                     vi_counts,
                     None,
-                    pol,
                 ),
             )
         )

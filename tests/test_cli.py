@@ -438,9 +438,16 @@ def test_fn_ap_of_a_huge_prime(capsys):
             ("aeps", "--seq", "ap", "--p", str(2**89 - 1), "--eps", "0.5"),
             "primality is decided below 3317044064679887385961981 only",
         ),
+        (("verify", "--eps", "nan", "--limit", "100000"), "eps grid must be positive"),
+        (("aeps", "--seq", "h", "--eps", "nan"), "tolerance eps must be positive, got nan"),
+        (
+            ("classify", "--power", "1/2", "--ideal", "leq", "--q", "0.5", "--delta", "nan"),
+            "delta must be positive, got nan",
+        ),
     ],
     ids=[
         "fn-ap-2**70", "verify-eps-0.05", "fn-omega-2**62", "fn-ap-p4", "aeps-ap-2**89-1",
+        "verify-eps-nan", "aeps-eps-nan", "classify-delta-nan",
     ],
 )
 def test_bad_input_exits_2_at_once(capsys, argv, message):

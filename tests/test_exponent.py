@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from idealconv import exponent
-from idealconv.exponent import DecayPolicy, classify_rows_leq, classify_rows_less
+from idealconv.exponent import classify_rows_leq, classify_rows_less
 from idealconv import (
     Checkpoints,
     InsufficientDataError,
@@ -206,7 +206,8 @@ def test_classify_leq_validation():
 
 def test_verdict_records_policy_and_evidence():
     v = classify_leq(power_set(0.5), 0.5)
-    assert any("drop" in note and "rate" in note for note in v.notes)
+    assert v.notes == (exponent.POLICY,)
+    assert "drop" in exponent.POLICY and "rate" in exponent.POLICY
     assert len(v.evidence) > 0
     recs = v.to_records()
     assert {"set", "ideal", "q", "delta", "x", "count", "ratio", "verdict"} <= recs[0].keys()
@@ -327,7 +328,7 @@ _WHY = {
     "for a witness",
 }
 _WHY_PRIMES = (
-    "DecayPolicy.series_decays takes pi(x)/x**0.98, which falls on the "
+    "_series_decays takes pi(x)/x**0.98, which falls on the "
     "default grid only through the 1/log x factor, for a witness"
 )
 
@@ -354,7 +355,7 @@ def test_verdict_truth_table(row, truth):
         s, t = rest
         counts = [math.floor(x**s * math.log(x) ** t) for x in GRID.values]
         classify = classify_rows_leq if ideal == "leq" else classify_rows_less
-        v = classify("synthetic", q, list(GRID.values), counts, None, DecayPolicy())
+        v = classify("synthetic", q, list(GRID.values), counts, None)
     wrong = Verdict.INCONSISTENT if truth else Verdict.CONSISTENT
     assert v.verdict is not wrong
 

@@ -417,7 +417,7 @@ def test_checkpoints_geometric():
 
 
 def test_checkpoints_default_grid():
-    cp = Checkpoints.default(10**7)
+    cp = Checkpoints.geometric(10**7)
     assert cp.values[0] == 1000
     assert cp.values[-1] <= 10**7
     assert all(b == 2 * a for a, b in zip(cp.values, cp.values[1:]))
