@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import idealconv.suite as suite_mod
 from idealconv import (
     Checkpoints,
     InvalidArgumentError,
@@ -20,6 +21,7 @@ from idealconv import (
     statement_suite,
 )
 
+from idealconv.bulk import BLOCK, iter_blocks
 from oracles import pascal_rowscan, perfect_powers_upto, sequence_value
 
 GAMMA = sequence_spec("power_rep_count")
@@ -326,3 +328,63 @@ def test_suite_validation():
         statement_suite(5_000)  # needs at least four decades
     with pytest.raises(InvalidArgumentError):
         statement_suite(10**4, statements=("IX",))
+
+
+# the (sequence key, prime) pairs the suite scans, statements I..V, VII, VIII
+_SUITE_SEQUENCES = (
+    ("min_exponent_over_log", None),
+    ("max_exponent_over_log", None),
+    ("valuation_scaled", 2),
+    ("valuation_scaled", 3),
+    ("power_rep_count", None),
+    ("power_rep_weight", None),
+    ("omega_over_loglog", None),
+    ("bigomega_over_loglog", None),
+    ("loglog_f", None),
+    ("loglog_fstar", None),
+)
+_SCANNED = ("I", "II", "III", "IV", "V", "VII", "VIII")
+
+
+def test_suite_tallies_match_count_and_limsup_reports(monkeypatch):
+    # the suite's tallies, taken from the helper that reads them after the scan
+    seen = {}
+    checks_i = suite_mod._statement_i_checks
+
+    def grab(tallies, *args):
+        seen.update(tallies)
+        return checks_i(tallies, *args)
+
+    monkeypatch.setattr(suite_mod, "_statement_i_checks", grab)
+    limit = 10**6
+    rep = statement_suite(limit, statements=_SCANNED)
+    assert len(seen) == 3 * len(_SUITE_SEQUENCES)
+    for key, p in _SUITE_SEQUENCES:
+        spec = sequence_spec(key, p=p)
+        for eps in rep.eps_grid:
+            tally = seen[(spec.label, eps)]
+            counts = count_report(spec, eps, rep.checkpoints, envelope=None)
+            assert tally.counts == [r.count for r in counts.rows], (spec.label, eps)
+            limsup = remark_limsup(spec, eps, limit)
+            assert tuple(tally.final_rows()) == limsup.rows, (spec.label, eps)
+
+
+def test_suite_records_independent_of_block_size(monkeypatch):
+    limit = 3 * 10**5
+    blocks = []
+
+    def records(size):
+        def sized(*args, **kwargs):
+            for stats in iter_blocks(*args, **{**kwargs, "block_size": size}):
+                blocks.append(stats.hi - stats.lo)
+                yield stats
+
+        blocks.clear()
+        monkeypatch.setattr(suite_mod, "iter_blocks", sized)
+        rep = statement_suite(limit, pascal_check_limit=1000)
+        assert sum(blocks) == limit - 1 and max(blocks) == min(size, limit - 1)
+        return rep.to_records(include_rows=True)
+
+    want = records(BLOCK)
+    for size in (1000, 4097):
+        assert records(size) == want, size
