@@ -6,14 +6,17 @@ tolerance eps collects the n with |x_n - L| >= eps.  This module constructs
 those sets, counts them against analytic envelopes, and measures the
 limsup of log k / log n_k along their elements.
 
-Bulk scans go through `bulk.iter_blocks`, so membership over ranges like
-[2, 10**7] costs one sieve pass; `deviation` is the one membership test.
-A `Tally` is the running state of one exceptional set across a scan: the
-count A(x) at each checkpoint and the ratio rows at k = 1, 2, 4, ...  Count
-reports, limsup reports and the statement suite all read their numbers off
-tallies, and `envelope_rows` is the one envelope comparison.  There is no
-per-n path: `idealconv fn` reads single values off the same blocks, and the
-tests check them against a per-n recomputation by trial division.
+`exceptional_scan` is the one scan loop: one `bulk.iter_blocks` pass over
+[2, limit] yields each block's members for any number of (sequence, eps)
+pairs, with `deviation` as the one membership test, so membership over
+ranges like [2, 10**7] costs one sieve pass.  A `Tally` is the running state
+of one exceptional set across a scan: the count A(x) at each checkpoint and
+the ratio rows at k = 1, 2, 4, ...  `exceptional_members`, the count and
+limsup reports and the statement suite all read that one generator and feed
+their tallies from it; only the Pascal count is enumerated instead.
+`envelope_rows` is the one envelope comparison.  There is no per-n path:
+`idealconv fn` reads single values off the same blocks, and the tests check
+them against a per-n recomputation by trial division.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "sequence_values",
     "exceptional_set",
     "exceptional_members",
+    "exceptional_scan",
     "deviation",
     "PASCAL_LIMIT_CAP",
     "smooth_bound_for",
@@ -71,18 +75,19 @@ class SequenceSpec:
         return f"{self.key}(p={self.p})" if self.p is not None else self.key
 
 
-# key -> (normal value, first valid n, bulk fields, needs prime p)
-SEQUENCE_KEYS: dict[str, tuple[float, int, frozenset[str], bool]] = {
-    "min_exponent_over_log": (0.0, 2, frozenset({"h_min"}), False),
-    "max_exponent_over_log": (0.0, 2, frozenset({"h_max"}), False),
-    "valuation_scaled": (0.0, 2, frozenset(), True),
-    "power_rep_count": (1.0, 2, frozenset({"exp_gcd"}), False),
-    "power_rep_weight": (1.0, 2, frozenset({"exp_gcd"}), False),
-    "pascal_count": (2.0, 2, frozenset(), False),
-    "omega_over_loglog": (1.0, 3, frozenset({"omega"}), False),
-    "bigomega_over_loglog": (1.0, 3, frozenset({"big_omega"}), False),
-    "loglog_f": (_NORMAL_LOGLOG, 3, frozenset({"div_count"}), False),
-    "loglog_fstar": (_NORMAL_LOGLOG, 3, frozenset({"div_count"}), False),
+# key -> (normal value, first valid n, bulk fields, needs prime p, the
+# envelope kind that bounds its exceptional counts)
+SEQUENCE_KEYS: dict[str, tuple[float, int, frozenset[str], bool, str | None]] = {
+    "min_exponent_over_log": (0.0, 2, frozenset({"h_min"}), False, None),
+    "max_exponent_over_log": (0.0, 2, frozenset({"h_max"}), False, "max_exponent"),
+    "valuation_scaled": (0.0, 2, frozenset(), True, "prime_valuation"),
+    "power_rep_count": (1.0, 2, frozenset({"exp_gcd"}), False, "perfect_power"),
+    "power_rep_weight": (1.0, 2, frozenset({"exp_gcd"}), False, "perfect_power"),
+    "pascal_count": (2.0, 2, frozenset(), False, None),
+    "omega_over_loglog": (1.0, 3, frozenset({"omega"}), False, None),
+    "bigomega_over_loglog": (1.0, 3, frozenset({"big_omega"}), False, None),
+    "loglog_f": (_NORMAL_LOGLOG, 3, frozenset({"div_count"}), False, None),
+    "loglog_fstar": (_NORMAL_LOGLOG, 3, frozenset({"div_count"}), False, None),
 }
 
 
@@ -91,7 +96,7 @@ def sequence_spec(key: str, p: int | None = None) -> SequenceSpec:
         raise InvalidArgumentError(
             f"unknown sequence {key!r}; choose from {sorted(SEQUENCE_KEYS)}"
         )
-    limit_value, start_n, _, needs_p = SEQUENCE_KEYS[key]
+    limit_value, start_n, _, needs_p, _ = SEQUENCE_KEYS[key]
     if needs_p:
         if p is None:
             raise InvalidArgumentError(f"sequence {key!r} requires a prime p")
@@ -170,6 +175,8 @@ def _pascal_members(eps: float, limit: int) -> np.ndarray:
     n = C(r, k) with k >= 2 and r >= 2k; so those values are enumerated
     directly instead of scanning every n.
     """
+    if not eps > 0:
+        raise InvalidArgumentError(f"tolerance eps must be positive, got {eps}")
     if limit > PASCAL_LIMIT_CAP:
         raise InvalidArgumentError(
             f"Pascal count scans support limit <= {PASCAL_LIMIT_CAP}, got {limit}"
@@ -203,34 +210,59 @@ def deviation(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
     return dev
 
 
+def exceptional_scan(
+    pairs, limit: int, smooth_bounds: tuple[int, ...] = (), block_size: int = BLOCK
+) -> Iterator[tuple[BlockStats, Iterator[tuple]]]:
+    """One sieve pass over [start, limit] for the exceptional sets of the
+    (spec, eps) pairs, where start is the least start_n among the specs.
+
+    For each block it yields the block's stats, with the masks for
+    `smooth_bounds`, and an iterator over the pairs of (spec, eps, idx, dev):
+    the block's members are stats.lo + idx, and dev is the spec's
+    `deviation`.  The pairs come grouped by spec in order of first
+    appearance, so dev is computed once per block for all of a spec's eps.
+    Only one deviation array and one pair's indices are held at a time.
+    """
+    by_spec: dict[SequenceSpec, list[float]] = {}
+    for spec, eps in pairs:
+        if not eps > 0:
+            raise InvalidArgumentError(f"tolerance eps must be positive, got {eps}")
+        by_spec.setdefault(spec, []).append(eps)
+    if not by_spec:
+        return
+
+    def hits(stats: BlockStats):
+        for spec, eps_list in by_spec.items():
+            dev = deviation(spec, stats)
+            for eps in eps_list:
+                yield spec, eps, np.flatnonzero(dev >= eps), dev
+
+    for stats in iter_blocks(
+        limit,
+        frozenset().union(*map(required_fields, by_spec)),
+        ap_primes=tuple(sorted({s.p for s in by_spec if s.p is not None})),
+        smooth_bounds=smooth_bounds,
+        block_size=block_size,
+        start=min(s.start_n for s in by_spec),
+    ):
+        yield stats, hits(stats)
+
+
 def exceptional_members(
     spec: SequenceSpec, eps: float, limit: int, block_size: int = BLOCK
 ) -> Iterator[np.ndarray]:
     """Members of the exceptional set in [start_n, limit], one sorted array
-    per sieve block, taken as the indices of the block's mask plus its
-    start."""
-    if not eps > 0:
-        raise InvalidArgumentError(f"tolerance eps must be positive, got {eps}")
-    if limit < spec.start_n:
-        return
+    per sieve block of `exceptional_scan` (the Pascal count's members are
+    enumerated, in one array)."""
     if spec.key == "pascal_count":
         members = _pascal_members(eps, limit)
         if len(members):
             yield members
         return
-    fields = required_fields(spec)
-    ap_primes = (spec.p,) if spec.p is not None else ()
-    for stats in iter_blocks(
-        limit,
-        fields,
-        ap_primes=ap_primes,
-        block_size=block_size,
-        start=spec.start_n,
-    ):
-        hit = np.flatnonzero(deviation(spec, stats) >= eps)
-        if len(hit):
-            hit += stats.lo
-            yield hit
+    for stats, hits in exceptional_scan(((spec, eps),), limit, block_size=block_size):
+        for *_, idx, _ in hits:
+            if len(idx):
+                yield idx + stats.lo
 
 
 def exceptional_set(spec: SequenceSpec, eps: float, limit: int) -> IntegerSet:
@@ -265,12 +297,8 @@ def smooth_bound_for(eps: float) -> int | None:
 # envelopes
 # ---------------------------------------------------------------------------
 
-ENVELOPE_KINDS: dict[str, tuple[str, ...]] = {
-    # kind -> sequence keys it bounds
-    "max_exponent": ("max_exponent_over_log",),
-    "prime_valuation": ("valuation_scaled",),
-    "perfect_power": ("power_rep_count", "power_rep_weight"),
-}
+# the sequences each kind bounds are named in SEQUENCE_KEYS
+ENVELOPE_KINDS = ("max_exponent", "prime_valuation", "perfect_power")
 
 
 def envelope_value(kind: str, x: float, eps: float, p: int | None = None) -> float:
@@ -298,10 +326,7 @@ def envelope_value(kind: str, x: float, eps: float, p: int | None = None) -> flo
 
 
 def default_envelope(spec: SequenceSpec) -> str | None:
-    for kind, keys in ENVELOPE_KINDS.items():
-        if spec.key in keys:
-            return kind
-    return None
+    return SEQUENCE_KEYS[spec.key][4]
 
 
 def _check_envelope_kind(spec: SequenceSpec, kind: str) -> None:
@@ -309,7 +334,7 @@ def _check_envelope_kind(spec: SequenceSpec, kind: str) -> None:
         raise InvalidArgumentError(
             f"unknown envelope {kind!r}; choose from {sorted(ENVELOPE_KINDS)}"
         )
-    if spec.key not in ENVELOPE_KINDS[kind]:
+    if kind != default_envelope(spec):
         raise InvalidArgumentError(
             f"envelope {kind!r} does not bound sequence {spec.key!r}"
         )
@@ -428,8 +453,13 @@ def _tally(
 ) -> Tally:
     """The tally of the exceptional set over [start_n, limit]."""
     tally = Tally(checkpoints)
-    for block in exceptional_members(spec, eps, limit):
-        tally.absorb(block, int(block[-1]) + 1)
+    if spec.key == "pascal_count":
+        for members in exceptional_members(spec, eps, limit):
+            tally.absorb(members, limit + 1)
+    else:
+        for stats, hits in exceptional_scan(((spec, eps),), limit):
+            for *_, idx, _ in hits:
+                tally.absorb(idx + stats.lo, stats.hi)
     # checkpoints past the last member
     tally.absorb(np.empty(0, dtype=np.int64), limit + 1)
     return tally

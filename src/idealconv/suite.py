@@ -5,9 +5,12 @@ or two arithmetic sequences: a smooth-containment property, a closed-form
 counting envelope, membership evidence for a growth ideal, or a full-exponent
 limsup.  `statement_suite` runs the whole battery from a single block-sieve
 pass over [2, limit], so the 10**7-scale run costs one scan regardless of
-how many statements and tolerances are enabled.  The pass feeds one
-`convergence.Tally` per (sequence, eps) and one per smooth bound of
-statement I; the checks read counts and ratio rows off those tallies.
+how many statements and tolerances are enabled.  That pass is
+`convergence.exceptional_scan`, the generator that feeds every tally of the
+package: here one `convergence.Tally` per (sequence, eps), and one per
+smooth bound of statement I from the same blocks.  The suite adds two hooks
+to the scan, statement I's smooth-containment witnesses and the IV/V set
+equality, and its checks read counts and ratio rows off the tallies.
 Statement VI takes the Pascal members from `exceptional_members`, which
 enumerates Pascal's triangle instead of scanning.
 
@@ -35,14 +38,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bulk import iter_blocks, small_primes
+from .bulk import small_primes
 from .convergence import (
     Tally,
     default_envelope,
-    deviation,
     envelope_rows,
     exceptional_members,
-    required_fields,
+    exceptional_scan,
     sequence_spec,
     smooth_bound_for,
 )
@@ -79,23 +81,23 @@ _REMARK_BLOCKING_MAX_EPS = 0.5
 # resolution for the streamed trend statistic: k-buckets per doubling of k
 _TREND_SUB = 64
 
-# the (sequence key, prime) pairs each statement adds to the shared scan
-_SCAN = {
-    "I": (("min_exponent_over_log", None),),
-    "II": (("max_exponent_over_log", None),),
-    "III": (("valuation_scaled", 2), ("valuation_scaled", 3)),
-    "IV": (("power_rep_count", None),),
-    "V": (("power_rep_weight", None),),
-    "VII": (("omega_over_loglog", None), ("bigomega_over_loglog", None)),
-    "VIII": (("loglog_f", None), ("loglog_fstar", None)),
-}
-# statements checked against an envelope and a decay verdict:
+# statement -> the (sequence key, prime) pairs it adds to the shared scan,
+# and for the statements checked against an envelope and a decay verdict,
 # (envelope check label, verdict rule, exponent q)
-_FIT = {
-    "II": ("max_exponent", classify_rows_less, 1.0),
-    "III": ("valuation p={p}", classify_rows_less, 1.0),
-    "IV": ("power", classify_rows_leq, 0.5),
-    "V": ("power", classify_rows_leq, 0.5),
+_SCAN = {
+    "I": ((("min_exponent_over_log", None),), None),
+    "II": (
+        (("max_exponent_over_log", None),),
+        ("max_exponent", classify_rows_less, 1.0),
+    ),
+    "III": (
+        (("valuation_scaled", 2), ("valuation_scaled", 3)),
+        ("valuation p={p}", classify_rows_less, 1.0),
+    ),
+    "IV": ((("power_rep_count", None),), ("power", classify_rows_leq, 0.5)),
+    "V": ((("power_rep_weight", None),), ("power", classify_rows_leq, 0.5)),
+    "VII": ((("omega_over_loglog", None), ("bigomega_over_loglog", None)), None),
+    "VIII": ((("loglog_f", None), ("loglog_fstar", None)), None),
 }
 
 
@@ -293,17 +295,10 @@ def statement_suite(
     xs = list(cps)
 
     scan = {
-        sid: [sequence_spec(key, p) for key, p in _SCAN[sid]]
+        sid: [sequence_spec(key, p) for key, p in _SCAN[sid][0]]
         for sid in stmts
         if sid in _SCAN
     }
-    fields: set[str] = set()
-    ap_primes: set[int] = set()
-    for specs in scan.values():
-        for spec in specs:
-            fields |= set(required_fields(spec))
-            if spec.p is not None:
-                ap_primes.add(spec.p)
     smooth_bounds: dict[float, int | None] = {}
     if "I" in stmts:
         for eps in eps_grid:
@@ -322,47 +317,34 @@ def statement_suite(
     eq_ok: dict[float, bool] = {eps: True for eps in eps_grid}
     eq_witness: dict[float, int | None] = {eps: None for eps in eps_grid}
 
-    if scan:
-        for stats in iter_blocks(
-            limit,
-            frozenset(fields),
-            ap_primes=tuple(sorted(ap_primes)),
-            smooth_bounds=bounds,
-        ):
-            # members are taken by index: n = lo + index
-            for b, tally in smooth.items():
-                tally.absorb(np.flatnonzero(stats.smooth_ok[b]) + stats.lo, stats.hi)
-            gamma_members: dict[float, np.ndarray] = {}
-            for sid, specs in scan.items():
-                for spec in specs:
-                    dev = deviation(spec, stats)
-                    for eps in eps_grid:
-                        mask = dev >= eps
-                        idx = np.flatnonzero(mask)
-                        members = idx + stats.lo
-                        tally = tallies[(spec.label, eps)]
-                        if isinstance(tally, _TrendTally):
-                            tally.absorb(members, stats.hi, stats.ln_n[idx])
-                        else:
-                            tally.absorb(members, stats.hi)
-                        if sid == "I":
-                            b = smooth_bounds[eps]
-                            bad = (
-                                mask & ~stats.smooth_ok[b] if b is not None else mask
-                            )
-                            vio = violations[eps]  # dev is x_n itself, as L = 0
-                            if bad.any() and len(vio) < 5:
-                                for idx in np.flatnonzero(bad)[:5]:
-                                    vio.append((int(stats.n[idx]), float(dev[idx])))
-                        if sid == "IV":
-                            gamma_members[eps] = members
-                        elif sid == "V" and eps in gamma_members:
-                            if not np.array_equal(gamma_members[eps], members):
-                                eq_ok[eps] = False
-                                if eq_witness[eps] is None:
-                                    diff = np.setxor1d(gamma_members[eps], members)
-                                    if len(diff):
-                                        eq_witness[eps] = int(diff[0])
+    pairs = [(spec, eps) for sp in scan.values() for spec in sp for eps in eps_grid]
+    for stats, hits in exceptional_scan(pairs, limit, bounds):
+        # members are taken by index: n = lo + index
+        for b, tally in smooth.items():
+            tally.absorb(np.flatnonzero(stats.smooth_ok[b]) + stats.lo, stats.hi)
+        gamma_members: dict[float, np.ndarray] = {}
+        for spec, eps, idx, dev in hits:
+            members = idx + stats.lo
+            tally = tallies[(spec.label, eps)]
+            if isinstance(tally, _TrendTally):
+                tally.absorb(members, stats.hi, stats.ln_n[idx])
+            else:
+                tally.absorb(members, stats.hi)
+            if spec.key == "min_exponent_over_log":
+                b = smooth_bounds[eps]
+                bad = idx if b is None else idx[~stats.smooth_ok[b][idx]]
+                vio = violations[eps]  # dev is x_n itself, as L = 0
+                if len(bad) and len(vio) < 5:
+                    vio += [(stats.lo + int(i), float(dev[i])) for i in bad[:5]]
+            elif spec.key == "power_rep_count":
+                gamma_members[eps] = members
+            elif spec.key == "power_rep_weight" and eps in gamma_members:
+                if not np.array_equal(gamma_members[eps], members):
+                    eq_ok[eps] = False
+                    if eq_witness[eps] is None:
+                        diff = np.setxor1d(gamma_members[eps], members)
+                        if len(diff):
+                            eq_witness[eps] = int(diff[0])
 
     vi_checks = (
         _statement_vi_checks(eps_grid, limit, cps, pascal_check_limit)
@@ -379,8 +361,8 @@ def statement_suite(
                         tallies, smooth_bounds, smooth, violations[eps], eps, xs
                     )
                 )
-            elif sid in _FIT:
-                label, classify, q = _FIT[sid]
+            elif sid in _SCAN and _SCAN[sid][1]:
+                label, classify, q = _SCAN[sid][1]
                 for spec in scan[sid]:
                     counts = tallies[(spec.label, eps)].counts
                     kind = default_envelope(spec)

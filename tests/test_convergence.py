@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import idealconv.convergence as convergence_mod
 import idealconv.suite as suite_mod
 from idealconv import (
     Checkpoints,
@@ -380,7 +381,7 @@ def test_suite_records_independent_of_block_size(monkeypatch):
                 yield stats
 
         blocks.clear()
-        monkeypatch.setattr(suite_mod, "iter_blocks", sized)
+        monkeypatch.setattr(convergence_mod, "iter_blocks", sized)
         rep = statement_suite(limit, pascal_check_limit=1000)
         assert sum(blocks) == limit - 1 and max(blocks) == min(size, limit - 1)
         return rep.to_records(include_rows=True)
