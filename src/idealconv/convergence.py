@@ -14,7 +14,8 @@ of one exceptional set across a scan: the count A(x) at each checkpoint and
 the ratio rows at k = 1, 2, 4, ...  `exceptional_members`, the count and
 limsup reports and the statement suite all read that one generator and feed
 their tallies from it; only the Pascal count is enumerated instead.
-`envelope_rows` is the one envelope comparison.  There is no per-n path:
+`envelope_rows` is the one envelope comparison and decides count <=
+envelope, in integers where the two can tie.  There is no per-n path:
 `idealconv fn` reads single values off the same blocks, and the tests check
 them against a per-n recomputation by trial division.
 """
@@ -138,7 +139,14 @@ def sequence_values(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
     if key == "max_exponent_over_log":
         return stats.h_max / ln_n
     if key == "valuation_scaled":
-        return stats.ap[spec.p] * math.log(spec.p) / ln_n
+        v = stats.ap[spec.p] * math.log(spec.p) / ln_n
+        # x_n is exactly 1 at n = p**k, where the quotient can round below 1
+        pk = spec.p
+        while pk < stats.hi:
+            if pk >= stats.lo:
+                v[pk - stats.lo] = 1.0
+            pk *= spec.p
+        return v
     lnln_n = stats.lnln_n
     with np.errstate(divide="ignore"):
         if key == "omega_over_loglog":
@@ -351,22 +359,29 @@ class CountRow:
     count: int
     envelope: float | None
     ratio: float | None  # count / envelope
+    ok: bool = True  # count <= envelope, or no envelope is stated
 
 
 def envelope_rows(
     kind: str | None, eps: float, p: int | None, xs, counts
 ) -> list[CountRow]:
-    """A(x) at each x against the named envelope.
+    """A(x) at each x against the named envelope, and whether it holds.
 
     The envelope and ratio columns are blank when `kind` is None, and for
-    the perfect_power bound below x = 4, where it is not stated.
+    the perfect_power bound below x = 4, where it is not stated.  The
+    prime_valuation bound at eps = 1 is log x / log p, which the count meets
+    with equality at every x = p**count, so it is decided as p**count <= x.
+    No other bound can equal an integer count.
     """
     rows = []
     for x, c in zip(xs, counts):
         env = None
+        ok = True
         if kind is not None and (kind != "perfect_power" or x >= 4):
             env = envelope_value(kind, x, eps, p)
-        rows.append(CountRow(x, c, env, (c / env) if env else None))
+            exact = kind == "prime_valuation" and eps == 1
+            ok = p**c <= x if exact else c <= env
+        rows.append(CountRow(x, c, env, (c / env) if env else None, ok))
     return rows
 
 
@@ -380,7 +395,7 @@ class ExceptionalReport:
     @property
     def envelope_ok(self) -> bool:
         """True when every counted value sits under its envelope."""
-        return all(r.envelope is None or r.count <= r.envelope for r in self.rows)
+        return all(r.ok for r in self.rows)
 
     def to_records(self) -> list[dict]:
         return [

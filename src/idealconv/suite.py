@@ -220,16 +220,15 @@ def _envelope_check(
 ) -> CheckResult:
     rows = envelope_rows(kind, eps, p, cps, counts)
     rows = [r for r in rows if r.envelope is not None]
-    ok = [r.count <= r.envelope for r in rows]
     worst = max((r.ratio for r in rows), default=0.0)
     return CheckResult(
         name=f"envelope[{label}]",
-        passed=all(ok),
+        passed=all(r.ok for r in rows),
         blocking=True,
         details=f"count <= envelope at {len(rows)} checkpoints; max ratio {worst:.3g}",
         rows=tuple(
-            {"x": r.x, "count": r.count, "envelope": r.envelope, "ok": good}
-            for r, good in zip(rows, ok)
+            {"x": r.x, "count": r.count, "envelope": r.envelope, "ok": r.ok}
+            for r in rows
         ),
     )
 

@@ -177,7 +177,9 @@ def sequence_value(spec, n: int) -> float:
     if key == "max_exponent_over_log":
         return max(exps) / ln_n
     if key == "valuation_scaled":
-        return dict(f).get(spec.p, 0) * math.log(spec.p) / ln_n
+        # exactly 1 at n = p**v, where the float quotient can round below 1
+        v = dict(f).get(spec.p, 0)
+        return 1.0 if f == [(spec.p, v)] else v * math.log(spec.p) / ln_n
     # n = m**b exactly for the b dividing the gcd of the exponents
     g = math.gcd(*exps)
     if key == "power_rep_count":

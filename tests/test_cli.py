@@ -236,6 +236,23 @@ def test_aeps_counts(capsys):
     assert "envelope perfect_power: holds" in out
 
 
+def test_aeps_prime_valuation_at_eps_one(capsys):
+    # the members at eps = 1 are the powers of 5 (x_n = 1 there exactly),
+    # and the bound log_p x, met with equality at powers of 3, holds
+    code, out, _ = run(
+        capsys, "aeps", "--seq", "ap", "--p", "5", "--eps", "1", "--limit", "1000",
+        "--checkpoints", "100,200,1000", "--output", "csv",
+    )
+    assert code == 0
+    assert [line.split(",")[3] for line in out.splitlines()[1:]] == ["2", "3", "4"]
+    code, out, _ = run(
+        capsys, "aeps", "--seq", "ap", "--p", "3", "--eps", "1", "--limit", "1000",
+        "--checkpoints", "81,243,729",
+    )
+    assert code == 0
+    assert "envelope prime_valuation: holds" in out
+
+
 def test_aeps_counts_csv(capsys):
     code, out, _ = run(
         capsys,

@@ -15,6 +15,7 @@ from idealconv import (
     default_envelope,
     envelope_value,
     exceptional_members,
+    exceptional_scan,
     exceptional_set,
     remark_limsup,
     sequence_spec,
@@ -124,6 +125,7 @@ def test_membership_matches_direct_evaluation():
         ("max_exponent_over_log", None),
         ("valuation_scaled", 2),
         ("valuation_scaled", 3),
+        ("valuation_scaled", 5),  # x_125 rounds below 1 in float64
         ("power_rep_count", None),
         ("power_rep_weight", None),
         ("pascal_count", None),
@@ -142,6 +144,31 @@ def test_membership_matches_direct_evaluation():
         for eps in _TIE_EPS:
             got = [int(v) for b in exceptional_members(spec, eps, limit) for v in b]
             assert got == [n for n, d in dev if d >= eps], (spec.label, eps)
+
+
+def test_prime_valuation_tie_at_eps_one_is_exact():
+    # x_n = v_p(n) log p / log n is exactly 1 at n = p**k and below 1 at
+    # every other n, so at eps = 1 the members are the powers of p; float64
+    # rounds the quotient below 1 at some of them (5**3, 13**3, 7**5)
+    primes = (2, 3, 5, 7, 11, 13)
+    limit = 10**7
+    specs = {p: sequence_spec("valuation_scaled", p=p) for p in primes}
+    got = {p: [] for p in primes}
+    for stats, hits in exceptional_scan([(s, 1.0) for s in specs.values()], limit):
+        for spec, _, idx, _ in hits:
+            got[spec.p] += (idx + stats.lo).tolist()
+    for p in primes:
+        want = [p**k for k in range(1, 30) if p**k <= limit]
+        assert got[p] == want, p
+
+
+def test_oracle_decides_the_valuation_tie_exactly():
+    for p in (2, 3, 5, 7, 11, 13):
+        spec = sequence_spec("valuation_scaled", p=p)
+        for k in range(1, 63):
+            if p**k < 2**63:
+                assert sequence_value(spec, p**k) == 1.0, (p, k)
+        assert sequence_value(spec, 2 * 3 * p**2) < 1
 
 
 def test_monotone_in_eps():
@@ -244,6 +271,20 @@ def test_count_report_counts_and_envelope():
     assert all(r.envelope is None and r.ratio is None for r in bare.rows)
     with pytest.raises(InvalidArgumentError):
         count_report(GAMMA, 0.5, cp, envelope="max_exponent")  # wrong sequence
+
+
+def test_prime_valuation_envelope_holds_at_equality():
+    # at eps = 1 the bound log x / log p equals the count at every x = p**k;
+    # math.log(243) / math.log(3) is 4.999999999999999
+    rep = count_report(
+        sequence_spec("valuation_scaled", p=3), 1.0, Checkpoints((81, 243, 729))
+    )
+    assert [r.count for r in rep.rows] == [4, 5, 6]
+    assert all(r.ok for r in rep.rows) and rep.envelope_ok
+    over = count_report(
+        sequence_spec("valuation_scaled", p=3), 0.5, Checkpoints((81, 243, 729))
+    )
+    assert over.envelope_ok
 
 
 def test_count_report_skips_perfect_power_below_four():
