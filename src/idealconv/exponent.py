@@ -34,14 +34,12 @@ __all__ = [
     "ExponentEstimate",
     "EvidenceRow",
     "IdealVerdict",
-    "ChainReport",
     "estimate_lambda",
     "classify_leq",
     "classify_less",
     "classify_rows_leq",
     "classify_rows_less",
     "partial_sum_probe",
-    "chain_report",
     "DEFAULT_DELTAS",
 ]
 
@@ -249,14 +247,6 @@ class IdealVerdict:
         ]
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    set_label: str
-    q_grid: tuple[float, ...]
-    verdicts: tuple[IdealVerdict, ...]
-    monotone: bool
-
-
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -446,39 +436,3 @@ def partial_sum_probe(
             pending = next(it, None)
         out.append((x, total))
     return out
-
-
-def chain_report(
-    a: IntegerSet,
-    q_grid: tuple[float, ...],
-    checkpoints: Checkpoints | None = None,
-) -> ChainReport:
-    """at-most verdicts along an increasing q grid, with a monotonicity check.
-
-    Consistency at q must persist at every larger q; `monotone` is False
-    when a consistent verdict is followed by an inconsistent one (which
-    would indicate contradictory evidence, not a property of the set).
-    """
-    if any(b <= a_ for a_, b in zip(q_grid, q_grid[1:])):
-        raise InvalidArgumentError("q grid must be strictly increasing")
-    if any(not 0 <= q < 1 for q in q_grid):
-        raise InvalidArgumentError("q grid values must lie in [0, 1)")
-    cp = _valid_checkpoints(checkpoints, 10**7)
-    counts = _counts_at(a, cp)
-    verdicts = [
-        classify_rows_leq(a.label, q, list(cp.values), counts, None)
-        for q in q_grid
-    ]
-    seen_consistent = False
-    monotone = True
-    for v in verdicts:
-        if v.verdict is Verdict.CONSISTENT:
-            seen_consistent = True
-        elif v.verdict is Verdict.INCONSISTENT and seen_consistent:
-            monotone = False
-    return ChainReport(
-        set_label=a.label,
-        q_grid=tuple(q_grid),
-        verdicts=tuple(verdicts),
-        monotone=monotone,
-    )

@@ -13,7 +13,6 @@ from idealconv import (
     InvalidArgumentError,
     Trend,
     Verdict,
-    chain_report,
     classify_leq,
     classify_less,
     estimate_lambda,
@@ -361,29 +360,21 @@ def test_verdict_truth_table(row, truth):
 
 
 # ---------------------------------------------------------------------------
-# chain reports
+# exact verdicts along a q grid
 # ---------------------------------------------------------------------------
 
 
-def test_chain_of_squares():
-    rep = chain_report(power_set(0.5), (0.25, 0.5, 0.75))
-    assert [v.verdict for v in rep.verdicts] == [
-        Verdict.INCONSISTENT,
-        Verdict.CONSISTENT,
-        Verdict.CONSISTENT,
-    ]
-    assert rep.monotone
-
-
-def test_chain_of_naturals_rejects_every_q():
-    rep = chain_report(naturals(), (0.25, 0.5, 0.75))
-    assert all(v.verdict is Verdict.INCONSISTENT for v in rep.verdicts)
-    assert rep.monotone  # no consistent-then-inconsistent inversion
-
-
-def test_chain_requires_increasing_grid():
-    with pytest.raises(InvalidArgumentError):
-        chain_report(naturals(), (0.5, 0.25))
+@pytest.mark.parametrize(
+    "make,verdicts",
+    [
+        (lambda: power_set(0.5), ("inconsistent", "consistent", "consistent")),
+        (naturals, ("inconsistent", "inconsistent", "inconsistent")),
+    ],
+    ids=["squares", "naturals"],
+)
+def test_classify_leq_verdicts_along_q(make, verdicts):
+    a = make()
+    assert tuple(classify_leq(a, q).verdict.value for q in (0.25, 0.5, 0.75)) == verdicts
 
 
 # ---------------------------------------------------------------------------
