@@ -227,25 +227,22 @@ def _build_set(args) -> IntegerSet:
 # ---------------------------------------------------------------------------
 
 
-# fn name -> the bulk field it reads; ap reads the valuation array instead
-_FN_FIELDS = {
-    "omega": "omega",
-    "bigomega": "big_omega",
-    "h": "h_min",
-    "H": "h_max",
-    "ap": None,
-    "d": "div_count",
-    "logf": "div_count",
-    "logfstar": "div_count",
-    "gamma": "exp_gcd",
-    "tau": "exp_gcd",
+# fn name -> (the bulk field it reads, its value at n = 1, below every bulk
+# scan); ap reads the valuation array instead, and gamma and tau are
+# undefined at n = 1
+_FN = {
+    "omega": ("omega", 0),
+    "bigomega": ("big_omega", 0),
+    "h": ("h_min", 1),
+    "H": ("h_max", 1),
+    "ap": (None, 0),
+    "d": ("div_count", 1),
+    "logf": ("div_count", 0.0),
+    "logfstar": ("div_count", 0.0),
+    "gamma": ("exp_gcd", None),
+    "tau": ("exp_gcd", None),
 }
-# values at n = 1, below every bulk scan
-_FN_AT_ONE = {
-    "omega": 0, "bigomega": 0, "h": 1, "H": 1, "ap": 0, "d": 1,
-    "logf": 0.0, "logfstar": 0.0,
-}
-_FN_NAMES = (*_FN_FIELDS, "N")
+_FN_NAMES = (*_FN, "N")
 
 
 def _fn_values(
@@ -258,11 +255,11 @@ def _fn_values(
         return
     if name == "ap" and p is None:
         raise InvalidArgumentError("fn ap requires --p PRIME")
+    field, at_one = _FN[name]
     if lo == 1:
-        if name not in _FN_AT_ONE:
+        if at_one is None:
             raise InvalidArgumentError("gamma/tau are undefined for n = 1")
-        yield 1, _FN_AT_ONE[name]
-    field = _FN_FIELDS[name]
+        yield 1, at_one
     # gamma and tau: the divisor count and sum of the exponent gcd
     rep = {"gamma": "power_rep_count", "tau": "power_rep_weight"}.get(name)
     for stats in iter_blocks(

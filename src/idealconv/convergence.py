@@ -108,10 +108,6 @@ def sequence_spec(key: str, p: int | None = None) -> SequenceSpec:
     return SequenceSpec(key=key, limit_value=limit_value, start_n=start_n, p=p)
 
 
-def required_fields(spec: SequenceSpec) -> frozenset[str]:
-    return SEQUENCE_KEYS[spec.key][2]
-
-
 # ---------------------------------------------------------------------------
 # values
 # ---------------------------------------------------------------------------
@@ -247,7 +243,7 @@ def exceptional_scan(
 
     for stats in iter_blocks(
         limit,
-        frozenset().union(*map(required_fields, by_spec)),
+        frozenset().union(*(SEQUENCE_KEYS[s.key][2] for s in by_spec)),
         ap_primes=tuple(sorted({s.p for s in by_spec if s.p is not None})),
         smooth_bounds=smooth_bounds,
         block_size=block_size,
@@ -335,17 +331,6 @@ def envelope_value(kind: str, x: float, eps: float, p: int | None = None) -> flo
 
 def default_envelope(spec: SequenceSpec) -> str | None:
     return SEQUENCE_KEYS[spec.key][4]
-
-
-def _check_envelope_kind(spec: SequenceSpec, kind: str) -> None:
-    if kind not in ENVELOPE_KINDS:
-        raise InvalidArgumentError(
-            f"unknown envelope {kind!r}; choose from {sorted(ENVELOPE_KINDS)}"
-        )
-    if kind != default_envelope(spec):
-        raise InvalidArgumentError(
-            f"envelope {kind!r} does not bound sequence {spec.key!r}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +477,14 @@ def count_report(
     exists; pass None to skip, or a kind name to force (mismatches raise).
     """
     kind = default_envelope(spec) if envelope == "auto" else envelope
-    if kind is not None:
-        _check_envelope_kind(spec, kind)
+    if kind not in (None, *ENVELOPE_KINDS):
+        raise InvalidArgumentError(
+            f"unknown envelope {kind!r}; choose from {sorted(ENVELOPE_KINDS)}"
+        )
+    if kind not in (None, default_envelope(spec)):
+        raise InvalidArgumentError(
+            f"envelope {kind!r} does not bound sequence {spec.key!r}"
+        )
     xs = checkpoints.values
     tally = _tally(spec, eps, xs[-1], xs)
     rows = envelope_rows(kind, eps, spec.p, xs, tally.counts)
