@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -215,7 +215,10 @@ def deviation(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
 
 
 def exceptional_scan(
-    pairs, limit: int, smooth_bounds: tuple[int, ...] = (), block_size: int = BLOCK
+    pairs: Iterable[tuple[SequenceSpec, float]],
+    limit: int,
+    smooth_bounds: tuple[int, ...] = (),
+    block_size: int = BLOCK,
 ) -> Iterator[tuple[BlockStats, Iterator[tuple]]]:
     """One sieve pass over [start, limit] for the exceptional sets of the
     (spec, eps) pairs, where start is the least start_n among the specs.

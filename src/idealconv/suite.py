@@ -40,6 +40,7 @@ import numpy as np
 
 from .bulk import small_primes
 from .convergence import (
+    SequenceSpec,
     Tally,
     default_envelope,
     envelope_rows,
@@ -212,14 +213,13 @@ def _verdict_check(name: str, verdict_obj) -> CheckResult:
 
 
 def _envelope_check(
-    label: str, kind: str, eps: float, cps: tuple[int, ...], counts: list[int],
-    p: int | None,
+    label: str, spec: SequenceSpec, eps: float, cps: tuple[int, ...], counts: list[int]
 ) -> CheckResult:
-    rows = envelope_rows(kind, eps, p, cps, counts)
+    rows = envelope_rows(default_envelope(spec), eps, spec.p, cps, counts)
     rows = [r for r in rows if r.envelope is not None]
     worst = max((r.ratio for r in rows), default=0.0)
     return CheckResult(
-        name=f"envelope[{label}]",
+        name=f"envelope[{label.format(p=spec.p)}]",
         passed=all(r.ok for r in rows),
         blocking=True,
         details=f"count <= envelope at {len(rows)} checkpoints; max ratio {worst:.3g}",
@@ -358,10 +358,7 @@ def statement_suite(
                 label, classify, q = _SCAN[sid][1]
                 for spec in scan[sid]:
                     counts = tallies[(spec.label, eps)].counts
-                    kind = default_envelope(spec)
-                    env = _envelope_check(
-                        label.format(p=spec.p), kind, eps, cps, counts, spec.p
-                    )
+                    env = _envelope_check(label, spec, eps, cps, counts)
                     tag = f"[p={spec.p}]" if spec.p is not None else ""
                     v = classify(spec.label, q, xs, counts, None)
                     checks += [env, _verdict_check(f"ideal-fit{tag}", v)]
