@@ -52,21 +52,6 @@ _EXIT_BY_VERDICT = {
     Verdict.INDETERMINATE: 3,
 }
 
-# short user-facing sequence names
-_SEQ_BY_NAME = {
-    "h": "min_exponent_over_log",
-    "H": "max_exponent_over_log",
-    "ap": "valuation_scaled",
-    "gamma": "power_rep_count",
-    "tau": "power_rep_weight",
-    "N": "pascal_count",
-    "omega": "omega_over_loglog",
-    "bigomega": "bigomega_over_loglog",
-    "logf": "loglog_f",
-    "logfstar": "loglog_fstar",
-}
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -227,22 +212,24 @@ def _build_set(args) -> IntegerSet:
 # ---------------------------------------------------------------------------
 
 
-# fn name -> (the bulk field it reads, its value at n = 1, below every bulk
-# scan); ap reads the valuation array instead, and gamma and tau are
-# undefined at n = 1
+# short user-facing name -> (the bulk field `fn` reads, its value at n = 1,
+# below every bulk scan, the sequence `aeps --seq` scans); ap reads the
+# valuation array instead, gamma and tau are undefined at n = 1, N is
+# computed per n, and d has no sequence
 _FN = {
-    "omega": ("omega", 0),
-    "bigomega": ("big_omega", 0),
-    "h": ("h_min", 1),
-    "H": ("h_max", 1),
-    "ap": (None, 0),
-    "d": ("div_count", 1),
-    "logf": ("div_count", 0.0),
-    "logfstar": ("div_count", 0.0),
-    "gamma": ("exp_gcd", None),
-    "tau": ("exp_gcd", None),
+    "omega": ("omega", 0, "omega_over_loglog"),
+    "bigomega": ("big_omega", 0, "bigomega_over_loglog"),
+    "h": ("h_min", 1, "min_exponent_over_log"),
+    "H": ("h_max", 1, "max_exponent_over_log"),
+    "ap": (None, 0, "valuation_scaled"),
+    "d": ("div_count", 1, None),
+    "logf": ("div_count", 0.0, "loglog_f"),
+    "logfstar": ("div_count", 0.0, "loglog_fstar"),
+    "gamma": ("exp_gcd", None, "power_rep_count"),
+    "tau": ("exp_gcd", None, "power_rep_weight"),
+    "N": (None, None, "pascal_count"),
 }
-_FN_NAMES = (*_FN, "N")
+_SEQ_NAMES = sorted(name for name, (*_, key) in _FN.items() if key)
 
 
 def _fn_values(
@@ -255,21 +242,20 @@ def _fn_values(
         return
     if name == "ap" and p is None:
         raise InvalidArgumentError("fn ap requires --p PRIME")
-    field, at_one = _FN[name]
+    field, at_one, key = _FN[name]
     if lo == 1:
         if at_one is None:
             raise InvalidArgumentError("gamma/tau are undefined for n = 1")
         yield 1, at_one
-    # gamma and tau: the divisor count and sum of the exponent gcd
-    rep = {"gamma": "power_rep_count", "tau": "power_rep_weight"}.get(name)
     for stats in iter_blocks(
         hi,
         {field} if field else set(),
         ap_primes=(p,) if name == "ap" else (),
         start=max(lo, 2),
     ):
-        if rep:
-            col = sequence_values(sequence_spec(rep), stats).astype(int)
+        if field == "exp_gcd":
+            # gamma and tau: the divisor count and sum of the exponent gcd
+            col = sequence_values(sequence_spec(key), stats).astype(int)
         else:
             col = stats.ap[p] if name == "ap" else getattr(stats, field)
         for n, v in zip(stats.n.tolist(), col.tolist()):
@@ -281,9 +267,9 @@ def _fn_values(
 
 
 def _cmd_fn(args) -> int:
-    if args.name not in _FN_NAMES:
+    if args.name not in _FN:
         raise InvalidArgumentError(
-            f"unknown function {args.name!r}; choose from {', '.join(_FN_NAMES)}"
+            f"unknown function {args.name!r}; choose from {', '.join(_FN)}"
         )
     lo, hi = _parse_range(args.n)
     records = [
@@ -340,19 +326,12 @@ def _cmd_classify(args) -> int:
     a = _build_set(args)
     deltas = tuple(args.delta) if args.delta else None
     cp = _parse_checkpoints(args.checkpoints) if args.checkpoints else None
-    if args.ideal == "leq":
-        verdict = classify_leq(a, args.q, deltas=deltas, checkpoints=cp)
-    else:
-        verdict = classify_less(a, args.q, deltas=deltas, checkpoints=cp)
+    classify = classify_leq if args.ideal == "leq" else classify_less
+    verdict = classify(a, args.q, deltas=deltas, checkpoints=cp)
     records = verdict.to_records()
-    wit = (
-        f", witness delta={verdict.delta_used:g}"
-        if verdict.delta_used is not None
-        else ""
-    )
     head = [
         f"verdict: {verdict.verdict.value} for exponent "
-        f"{'<=' if args.ideal == 'leq' else '<'} {args.q:g}{wit}",
+        f"{'<=' if args.ideal == 'leq' else '<'} {args.q:g}{verdict.witness_note}",
         f"policy: {verdict.notes[0]}",
     ]
     _emit(
@@ -373,13 +352,11 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_aeps(args) -> int:
-    if args.seq not in _SEQ_BY_NAME:
+    if args.seq not in _SEQ_NAMES:
         raise InvalidArgumentError(
-            f"unknown sequence {args.seq!r}; choose from {sorted(_SEQ_BY_NAME)}"
+            f"unknown sequence {args.seq!r}; choose from {_SEQ_NAMES}"
         )
-    spec = sequence_spec(
-        _SEQ_BY_NAME[args.seq], p=args.p if args.seq == "ap" else None
-    )
+    spec = sequence_spec(_FN[args.seq][2], p=args.p if args.seq == "ap" else None)
     # a count report scans only to its last checkpoint, which can sit below
     # 2**63 when --limit does not, so check the limit itself
     if args.limit >= 2**63:
@@ -544,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("aeps", help="exceptional-set report for a sequence")
-    p.add_argument("--seq", required=True, help="|".join(sorted(_SEQ_BY_NAME)))
+    p.add_argument("--seq", required=True, help="|".join(_SEQ_NAMES))
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--p", type=int, help="prime for --seq ap")
     p.add_argument("--limit", type=int, default=10**6)

@@ -269,7 +269,8 @@ def exceptional_members(
     for stats, hits in exceptional_scan(((spec, eps),), limit, block_size=block_size):
         for *_, idx, _ in hits:
             if len(idx):
-                yield idx + stats.lo
+                idx += stats.lo  # in place: one array per block is held, not two
+                yield idx
 
 
 def exceptional_set(spec: SequenceSpec, eps: float, limit: int) -> IntegerSet:
@@ -312,7 +313,9 @@ def envelope_value(kind: str, x: float, eps: float, p: int | None = None) -> flo
     """Proven upper bound for the exceptional count at x.
 
     max_exponent:    2 * sqrt(2) * x ** (1 - eps * log(2) / 2)
-    prime_valuation: (log x / log p) * x ** (1 - eps)
+    prime_valuation: (log x / log p) * x ** (1 - eps), with log x / log p
+                     taken as k itself at x = p**k, where the float quotient
+                     can miss it
     perfect_power:   (log x / log 2) * sqrt(x), valid for x >= 4
     """
     if kind == "max_exponent":
@@ -320,7 +323,9 @@ def envelope_value(kind: str, x: float, eps: float, p: int | None = None) -> flo
     if kind == "prime_valuation":
         if p is None:
             raise InvalidArgumentError("prime_valuation envelope needs p")
-        return (math.log(x) / math.log(p)) * x ** (1 - eps)
+        k = round(math.log(x) / math.log(p)) if math.isfinite(x) else 0
+        log_p_x = k if p**k == x else math.log(x) / math.log(p)
+        return log_p_x * x ** (1 - eps)
     if kind == "perfect_power":
         if x < 4:
             raise InvalidArgumentError(
@@ -456,13 +461,8 @@ def _tally(
 ) -> Tally:
     """The tally of the exceptional set over [start_n, limit]."""
     tally = Tally(checkpoints)
-    if spec.key == "pascal_count":
-        for members in exceptional_members(spec, eps, limit):
-            tally.absorb(members, limit + 1)
-    else:
-        for stats, hits in exceptional_scan(((spec, eps),), limit):
-            for *_, idx, _ in hits:
-                tally.absorb(idx + stats.lo, stats.hi)
+    for members in exceptional_members(spec, eps, limit):
+        tally.absorb(members, int(members[-1]) + 1)
     # checkpoints past the last member
     tally.absorb(np.empty(0, dtype=np.int64), limit + 1)
     return tally

@@ -8,6 +8,9 @@ finite counting evidence:
   * "at most q":  for every delta > 0 the series A(x) / x**(q+delta) -> 0;
   * "below q":    for some delta > 0 the series A(x) / x**(q-delta) -> 0.
 
+One classifier, `classify_rows`, serves both ideals: the `Ideal` sets the
+sign of delta and the quantifier over the delta grid.  `classify_leq` and
+`classify_less` check q's range for their ideal and feed it a set's counts.
 A finite table of ratios can never witness a limit, so verdicts follow fixed
 decay rules: a series counts as vanishing when its final window is
 nonincreasing and it has either dropped below `_DROP_FACTOR` times its
@@ -20,11 +23,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .sets import CHUNK, Checkpoints, IntegerSet
 
 __all__ = [
@@ -37,8 +40,7 @@ __all__ = [
     "estimate_lambda",
     "classify_leq",
     "classify_less",
-    "classify_rows_leq",
-    "classify_rows_less",
+    "classify_rows",
     "partial_sum_probe",
     "DEFAULT_DELTAS",
 ]
@@ -231,16 +233,18 @@ class IdealVerdict:
     evidence: tuple[EvidenceRow, ...]
     notes: tuple[str, ...] = field(default_factory=tuple)
 
+    @property
+    def witness_note(self) -> str:
+        """", witness delta=..." when a below-q verdict has a witness, else ""."""
+        return "" if self.delta_used is None else f", witness delta={self.delta_used:g}"
+
     def to_records(self) -> list[dict]:
         return [
             {
                 "set": self.set_label,
                 "ideal": self.ideal.value,
                 "q": self.q,
-                "delta": row.delta,
-                "x": row.x,
-                "count": row.count,
-                "ratio": row.ratio,
+                **asdict(row),
                 "verdict": self.verdict.value,
             }
             for row in self.evidence
@@ -252,8 +256,96 @@ class IdealVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _valid_checkpoints(checkpoints: Checkpoints | None, default_cap: int) -> Checkpoints:
-    cp = checkpoints or Checkpoints.geometric(default_cap)
+def _deltas(ideal: Ideal, q: float, deltas: tuple[float, ...] | None) -> tuple[float, ...]:
+    """The checked delta grid of a verdict on `ideal` at q; None means the
+    default grid, cut to keep q + delta <= 1 (at most) or q - delta > 0 (below)."""
+    at_most = ideal is Ideal.AT_MOST
+    if deltas is None:
+        if at_most:
+            deltas = tuple(d for d in DEFAULT_DELTAS if q + d <= 1)
+            if not deltas:
+                deltas = (1 - q,) if q < 1 else (0.02,)
+        else:
+            deltas = tuple(d for d in DEFAULT_DELTAS if d < q)
+            if not deltas:
+                deltas = (q / 2,)
+    if not deltas:
+        raise InvalidArgumentError("delta grid must not be empty")
+    for d in deltas:
+        if at_most:
+            if not d > 0:
+                raise InvalidArgumentError(f"delta must be positive, got {d}")
+            if q + d > 1:
+                raise InvalidArgumentError(
+                    f"q + delta must stay at most 1; got q={q}, delta={d}"
+                )
+        elif not 0 < d < q:
+            raise InvalidArgumentError(
+                f"delta for a below-q verdict must lie in (0, q); got {d} at q={q}"
+            )
+    return tuple(deltas)
+
+
+def classify_rows(
+    ideal: Ideal,
+    set_label: str,
+    q: float,
+    xs: list[int],
+    counts: list[int],
+    deltas: tuple[float, ...] | None = None,
+) -> IdealVerdict:
+    """Verdict on `ideal` at q from the counts A(x) at the checkpoints xs;
+    deltas=None means the default grid.
+
+    Each delta gives the series A(x) / x**(q + delta) for "at most q" and
+    A(x) / x**(q - delta) for "below q".  "At most q" is consistent when
+    every series decays, "below q" when some series decays, and the first
+    that does is the witness.  Otherwise the verdict is inconsistent when a
+    series that does not decay grows, and indeterminate when none grows.
+    """
+    at_most = ideal is Ideal.AT_MOST
+    sign = 1 if at_most else -1
+    evidence: list[EvidenceRow] = []
+    decayed: list[float] = []  # the deltas whose series decays
+    grows = False
+    grid = _deltas(ideal, q, deltas)
+    for d in grid:
+        ratios = [c / x ** (q + sign * d) for x, c in zip(xs, counts)]
+        evidence.extend(
+            EvidenceRow(d, x, c, r) for x, c, r in zip(xs, counts, ratios)
+        )
+        if _series_decays(xs, ratios, d):
+            decayed.append(d)
+        elif _series_grows(xs, ratios):
+            grows = True
+    # "at most q" needs every series to decay, "below q" only one
+    if len(decayed) == len(grid) or (decayed and not at_most):
+        verdict = Verdict.CONSISTENT
+    elif grows:
+        verdict = Verdict.INCONSISTENT
+    else:
+        verdict = Verdict.INDETERMINATE
+    return IdealVerdict(
+        set_label=set_label,
+        ideal=ideal,
+        q=q,
+        verdict=verdict,
+        delta_used=None if at_most or not decayed else decayed[0],
+        evidence=tuple(evidence),
+        notes=(POLICY,),
+    )
+
+
+def _classify(
+    ideal: Ideal,
+    a: IntegerSet,
+    q: float,
+    deltas: tuple[float, ...] | None,
+    checkpoints: Checkpoints | None,
+) -> IdealVerdict:
+    """`classify_rows` on A's counts at the checked checkpoints (default: to 10**7)."""
+    deltas = _deltas(ideal, q, deltas)
+    cp = checkpoints or Checkpoints.geometric(10**7)
     if len(cp.values) < 3:
         raise InvalidArgumentError("need at least 3 checkpoints")
     if cp.decades() < 3:
@@ -261,120 +353,8 @@ def _valid_checkpoints(checkpoints: Checkpoints | None, default_cap: int) -> Che
             f"checkpoints span {cp.decades():.2f} decades; need at least 3 "
             "for a meaningful decay verdict"
         )
-    return cp
-
-
-def _counts_at(a: IntegerSet, cp: Checkpoints) -> list[int]:
-    return [a.count(x) for x in cp.values]
-
-
-def _leq_deltas(q: float, deltas: tuple[float, ...] | None) -> tuple[float, ...]:
-    if deltas is None:
-        deltas = tuple(d for d in DEFAULT_DELTAS if q + d <= 1)
-        if not deltas:
-            deltas = (1 - q,) if q < 1 else (0.02,)
-    if not deltas:
-        raise InvalidArgumentError("delta grid must not be empty")
-    for d in deltas:
-        if not d > 0:
-            raise InvalidArgumentError(f"delta must be positive, got {d}")
-        if q + d > 1:
-            raise InvalidArgumentError(
-                f"q + delta must stay at most 1; got q={q}, delta={d}"
-            )
-    return tuple(deltas)
-
-
-def _less_deltas(q: float, deltas: tuple[float, ...] | None) -> tuple[float, ...]:
-    if deltas is None:
-        deltas = tuple(d for d in DEFAULT_DELTAS if d < q)
-        if not deltas:
-            deltas = (q / 2,)
-    if not deltas:
-        raise InvalidArgumentError("delta grid must not be empty")
-    for d in deltas:
-        if not 0 < d < q:
-            raise InvalidArgumentError(
-                f"delta for a below-q verdict must lie in (0, q); got {d} at q={q}"
-            )
-    return tuple(deltas)
-
-
-def classify_rows_leq(
-    set_label: str,
-    q: float,
-    xs: list[int],
-    counts: list[int],
-    deltas: tuple[float, ...] | None,
-) -> IdealVerdict:
-    """Verdict for "exponent at most q" from precomputed counts; deltas=None
-    means the default grid."""
-    evidence: list[EvidenceRow] = []
-    all_decay = True
-    any_grow = False
-    for d in _leq_deltas(q, deltas):
-        ratios = [c / x ** (q + d) for x, c in zip(xs, counts)]
-        evidence.extend(
-            EvidenceRow(d, x, c, r) for x, c, r in zip(xs, counts, ratios)
-        )
-        if not _series_decays(xs, ratios, d):
-            all_decay = False
-            if _series_grows(xs, ratios):
-                any_grow = True
-    if all_decay:
-        verdict = Verdict.CONSISTENT
-    elif any_grow:
-        verdict = Verdict.INCONSISTENT
-    else:
-        verdict = Verdict.INDETERMINATE
-    return IdealVerdict(
-        set_label=set_label,
-        ideal=Ideal.AT_MOST,
-        q=q,
-        verdict=verdict,
-        delta_used=None,
-        evidence=tuple(evidence),
-        notes=(POLICY,),
-    )
-
-
-def classify_rows_less(
-    set_label: str,
-    q: float,
-    xs: list[int],
-    counts: list[int],
-    deltas: tuple[float, ...] | None,
-) -> IdealVerdict:
-    """Verdict for "exponent below q" from precomputed counts; deltas=None
-    means the default grid."""
-    evidence: list[EvidenceRow] = []
-    witness: float | None = None
-    grow_delta: float | None = None
-    for d in _less_deltas(q, deltas):
-        ratios = [c / x ** (q - d) for x, c in zip(xs, counts)]
-        evidence.extend(
-            EvidenceRow(d, x, c, r) for x, c, r in zip(xs, counts, ratios)
-        )
-        if witness is None and _series_decays(xs, ratios, d):
-            witness = d
-        if _series_grows(xs, ratios):
-            if grow_delta is None or d < grow_delta:
-                grow_delta = d
-    if witness is not None:
-        verdict = Verdict.CONSISTENT
-    elif grow_delta is not None:
-        verdict = Verdict.INCONSISTENT
-    else:
-        verdict = Verdict.INDETERMINATE
-    return IdealVerdict(
-        set_label=set_label,
-        ideal=Ideal.BELOW,
-        q=q,
-        verdict=verdict,
-        delta_used=witness,
-        evidence=tuple(evidence),
-        notes=(POLICY,),
-    )
+    xs = list(cp.values)
+    return classify_rows(ideal, a.label, q, xs, [a.count(x) for x in xs], deltas)
 
 
 def classify_leq(
@@ -390,10 +370,7 @@ def classify_leq(
     """
     if not 0 <= q < 1:
         raise InvalidArgumentError(f"q must be in [0, 1) for an at-most verdict, got {q}")
-    deltas = _leq_deltas(q, deltas)
-    cp = _valid_checkpoints(checkpoints, 10**7)
-    counts = _counts_at(a, cp)
-    return classify_rows_leq(a.label, q, list(cp.values), counts, deltas)
+    return _classify(Ideal.AT_MOST, a, q, deltas, checkpoints)
 
 
 def classify_less(
@@ -409,10 +386,7 @@ def classify_less(
     """
     if not 0 < q <= 1:
         raise InvalidArgumentError(f"q must be in (0, 1] for a below verdict, got {q}")
-    deltas = _less_deltas(q, deltas)
-    cp = _valid_checkpoints(checkpoints, 10**7)
-    counts = _counts_at(a, cp)
-    return classify_rows_less(a.label, q, list(cp.values), counts, deltas)
+    return _classify(Ideal.BELOW, a, q, deltas, checkpoints)
 
 
 def partial_sum_probe(

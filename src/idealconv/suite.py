@@ -50,7 +50,7 @@ from .convergence import (
     smooth_bound_for,
 )
 from .errors import InvalidArgumentError
-from .exponent import Verdict, classify_rows_leq, classify_rows_less
+from .exponent import Ideal, Verdict, classify_rows
 from .sets import Checkpoints
 
 __all__ = [
@@ -63,17 +63,6 @@ __all__ = [
 
 STATEMENTS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII")
 
-_TITLES = {
-    "I": "min-exponent ratio: smooth containment, smallest-ideal evidence",
-    "II": "max-exponent ratio: envelope and below-exponent-1 evidence",
-    "III": "scaled prime valuation: envelope and below-exponent-1 evidence",
-    "IV": "power-representation count: envelope and at-most-1/2 evidence",
-    "V": "power-representation weight: envelope and at-most-1/2 evidence",
-    "VI": "Pascal occurrence count: sqrt ratio and at-most-1/2 evidence",
-    "VII": "prime-factor counts over loglog: exceptional sets of exponent 1",
-    "VIII": "divisor-product loglog: exceptional sets of exponent 1",
-}
-
 # limsup bars are asserted only where members are plentiful at desk scale;
 # larger tolerances are reported without blocking (members of the
 # omega-family sets appear only beyond ~exp(exp(2)) once eps > 1/2).
@@ -84,16 +73,16 @@ _TREND_SUB = 64
 
 # statement -> the (sequence key, prime) pairs it adds to the shared scan,
 # and for the statements checked against an envelope and a decay verdict,
-# (envelope check label, verdict rule, exponent q)
+# (envelope check label, the ideal of its verdict, exponent q)
 _SCAN = {
     "I": ((("min_exponent_over_log", None),), None),
-    "II": ((("max_exponent_over_log", None),), ("max_exponent", classify_rows_less, 1.0)),
+    "II": ((("max_exponent_over_log", None),), ("max_exponent", Ideal.BELOW, 1.0)),
     "III": (
         (("valuation_scaled", 2), ("valuation_scaled", 3)),
-        ("valuation p={p}", classify_rows_less, 1.0),
+        ("valuation p={p}", Ideal.BELOW, 1.0),
     ),
-    "IV": ((("power_rep_count", None),), ("power", classify_rows_leq, 0.5)),
-    "V": ((("power_rep_weight", None),), ("power", classify_rows_leq, 0.5)),
+    "IV": ((("power_rep_count", None),), ("power", Ideal.AT_MOST, 0.5)),
+    "V": ((("power_rep_weight", None),), ("power", Ideal.AT_MOST, 0.5)),
     "VII": ((("omega_over_loglog", None), ("bigomega_over_loglog", None)), None),
     "VIII": ((("loglog_f", None), ("loglog_fstar", None)), None),
 }
@@ -193,22 +182,16 @@ def _count_bound(x: int, primes: list[int]) -> float:
 
 
 def _verdict_check(name: str, verdict_obj) -> CheckResult:
-    rows = tuple(
-        {"delta": r.delta, "x": r.x, "count": r.count, "ratio": r.ratio}
-        for r in verdict_obj.evidence
-    )
-    extra = (
-        f", witness delta={verdict_obj.delta_used:g}"
-        if verdict_obj.delta_used is not None
-        else ""
-    )
     return CheckResult(
         name=name,
         passed=verdict_obj.verdict is Verdict.CONSISTENT,
         blocking=True,
-        details=f"verdict={verdict_obj.verdict.value} at q={verdict_obj.q:g}{extra}; "
-        + verdict_obj.notes[0],
-        rows=rows,
+        details=f"verdict={verdict_obj.verdict.value} at q={verdict_obj.q:g}"
+        f"{verdict_obj.witness_note}; " + verdict_obj.notes[0],
+        rows=tuple(
+            {"delta": r.delta, "x": r.x, "count": r.count, "ratio": r.ratio}
+            for r in verdict_obj.evidence
+        ),
     )
 
 
@@ -281,6 +264,11 @@ def statement_suite(
         )
     if any(not e > 0 for e in eps_grid):
         raise InvalidArgumentError("eps grid must be positive")
+    # each (sequence, eps) has one tally, which a repeated eps would feed twice
+    if len(set(eps_grid)) < len(eps_grid):
+        raise InvalidArgumentError(
+            f"eps grid must not repeat a value, got {tuple(eps_grid)}"
+        )
     eps_grid = tuple(eps_grid)
     stmts = tuple(statements) if statements is not None else STATEMENTS
     unknown = set(stmts) - set(STATEMENTS)
@@ -355,12 +343,12 @@ def statement_suite(
                     )
                 )
             elif sid in _SCAN and _SCAN[sid][1]:
-                label, classify, q = _SCAN[sid][1]
+                label, ideal, q = _SCAN[sid][1]
                 for spec in scan[sid]:
                     counts = tallies[(spec.label, eps)].counts
                     env = _envelope_check(label, spec, eps, cps, counts)
                     tag = f"[p={spec.p}]" if spec.p is not None else ""
-                    v = classify(spec.label, q, xs, counts, None)
+                    v = classify_rows(ideal, spec.label, q, xs, counts)
                     checks += [env, _verdict_check(f"ideal-fit{tag}", v)]
                 if sid in ("IV", "V") and "IV" in stmts and "V" in stmts:
                     wit = (
@@ -439,7 +427,7 @@ def _statement_i_checks(
         )
     checks.append(
         _verdict_check(
-            "ideal-fit", classify_rows_leq(key, 0.25, xs, tally.counts, None)
+            "ideal-fit", classify_rows(Ideal.AT_MOST, key, 0.25, xs, tally.counts)
         )
     )
     return checks
@@ -500,12 +488,12 @@ def _statement_vi_eps_checks(
         checks.append(
             _verdict_check(
                 "ideal-fit",
-                classify_rows_leq(
+                classify_rows(
+                    Ideal.AT_MOST,
                     f"pascal_count eps={eps:g}",
                     0.5,
                     list(vi_cp.values),
                     vi_counts,
-                    None,
                 ),
             )
         )

@@ -251,6 +251,16 @@ def test_aeps_prime_valuation_at_eps_one(capsys):
     )
     assert code == 0
     assert "envelope prime_valuation: holds" in out
+    # the printed envelope at x = 3**5 is 5 itself, not 4.999999999999999
+    code, out, _ = run(
+        capsys, "aeps", "--seq", "ap", "--p", "3", "--eps", "1", "--limit", "1000",
+        "--checkpoints", "81,243,729", "--output", "json",
+    )
+    rows = json.loads(out)["records"]
+    assert code == 0
+    assert [(r["count"], r["envelope"], r["ratio"]) for r in rows] == [
+        (4, 4.0, 1.0), (5, 5.0, 1.0), (6, 6.0, 1.0)
+    ]
 
 
 def test_aeps_counts_csv(capsys):
@@ -461,10 +471,14 @@ def test_fn_ap_of_a_huge_prime(capsys):
             ("classify", "--power", "1/2", "--ideal", "leq", "--q", "0.5", "--delta", "nan"),
             "delta must be positive, got nan",
         ),
+        (
+            ("verify", "--suite", "I", "--eps", "0.5", "--eps", "0.5", "--limit", "1000000"),
+            "eps grid must not repeat a value, got (0.5, 0.5)",
+        ),
     ],
     ids=[
         "fn-ap-2**70", "verify-eps-0.05", "fn-omega-2**62", "fn-ap-p4", "aeps-ap-2**89-1",
-        "verify-eps-nan", "aeps-eps-nan", "classify-delta-nan",
+        "verify-eps-nan", "aeps-eps-nan", "classify-delta-nan", "verify-eps-repeated",
     ],
 )
 def test_bad_input_exits_2_at_once(capsys, argv, message):

@@ -287,6 +287,22 @@ def test_prime_valuation_envelope_holds_at_equality():
     assert over.envelope_ok
 
 
+def test_prime_valuation_envelope_is_exact_at_powers():
+    # log x / log p misses the integer k at 37 powers p**k < 2**63 with
+    # p <= 13 (3**5 among them); the envelope takes k itself there
+    missed = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        k = 1
+        while p**k < 2**63:
+            missed += math.log(p**k) / math.log(p) != k
+            assert envelope_value("prime_valuation", p**k, 1.0, p) == k, (p, k)
+            assert envelope_value("prime_valuation", p**k, 0.5, p) == k * (p**k) ** 0.5
+            k += 1
+    assert missed == 37
+    # off the powers the quotient stands
+    assert envelope_value("prime_valuation", 244, 1.0, 3) == math.log(244) / math.log(3)
+
+
 def test_count_report_skips_perfect_power_below_four():
     cp = Checkpoints((2, 100))
     rep = count_report(GAMMA, 0.5, cp)

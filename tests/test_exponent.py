@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from idealconv import exponent
-from idealconv.exponent import classify_rows_leq, classify_rows_less
+from idealconv.exponent import Ideal, classify_rows
 from idealconv import (
     Checkpoints,
     InsufficientDataError,
@@ -348,15 +348,26 @@ def _truth_param(row):
 def test_verdict_truth_table(row, truth):
     ideal, q, *rest = row
     if len(rest) == 1:
-        classify = classify_leq if ideal == "leq" else classify_less
-        v = classify(_SETS[rest[0]][0](), q)
+        a = _SETS[rest[0]][0]()
+        counts = [a.count(x) for x in GRID.values]
     else:
         s, t = rest
         counts = [math.floor(x**s * math.log(x) ** t) for x in GRID.values]
-        classify = classify_rows_leq if ideal == "leq" else classify_rows_less
-        v = classify("synthetic", q, list(GRID.values), counts, None)
+    v = classify_rows(Ideal(ideal), "truth", q, list(GRID.values), counts)
     wrong = Verdict.INCONSISTENT if truth else Verdict.CONSISTENT
     assert v.verdict is not wrong
+
+
+def test_set_verdicts_are_classify_rows_on_the_counts():
+    # classify_leq and classify_less only check q and count the set
+    a = power_set(0.5)
+    counts = [a.count(x) for x in GRID.values]
+    for classify, ideal, q in (
+        (classify_leq, Ideal.AT_MOST, 0.5),
+        (classify_less, Ideal.BELOW, 0.75),
+    ):
+        rows = classify_rows(ideal, a.label, q, list(GRID.values), counts)
+        assert classify(a, q) == rows
 
 
 # ---------------------------------------------------------------------------

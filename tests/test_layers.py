@@ -59,3 +59,28 @@ def test_tracer_counts_the_scan_layers_and_uninstalls():
     after = _bindings()
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
+
+
+def test_tracer_counts_the_lambda_layers_and_uninstalls(tmp_path):
+    tracer = _load_layers().Tracer()
+    path = tmp_path / "squares.txt"
+    path.write_text("".join(f"{n * n}\n" for n in range(1, 2001)))
+    before = _bindings()
+    try:
+        tracer.install()
+        # through the package's attributes, as the benchmark calls them
+        ic.classify_leq(ic.power_set(0.5), 0.5)
+        ic.classify_less(ic.power_set(0.5), 0.75)
+        ic.estimate_lambda(ic.power_set(0.25), 1000)
+        ic.estimate_lambda(ic.from_file(str(path)), 1000)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert tracer.calls["exponent.classify"] == 2
+    assert tracer.calls["exponent.estimate_lambda"] == 2
+    assert metrics["exponent.estimate_lambda.self_s"] > 0
+    assert metrics["sets.from_file.busy_s"] > 0
+    assert metrics["sets.elements"] > 0
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
