@@ -1,5 +1,6 @@
-"""Exact integer arithmetic: Pascal-triangle occurrence counts, integer
-roots and a deterministic Miller-Rabin primality test.
+"""Exact integer arithmetic: Pascal-triangle occurrence counts, per n and
+over int64 arrays, integer roots and a deterministic Miller-Rabin
+primality test.
 
 The per-n exponent statistics (omega, the divisor count, the gcd of the
 exponents, ...) are computed over whole ranges by the block sieve in `bulk`.
@@ -9,9 +10,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import InvalidArgumentError
 
-__all__ = ["pascal_count", "iroot", "is_prime"]
+__all__ = ["pascal_count", "pascal_counts", "iroot", "is_prime"]
 
 
 # The first 13 primes.  As Miller-Rabin bases they decide every m below
@@ -88,6 +91,67 @@ def pascal_count(n: int) -> int:
             else:
                 hi = mid - 1
         k += 1
+    return total
+
+
+def _pascal_columns(top: int) -> list[int]:
+    """The columns k >= 3 that `pascal_counts` searches for n <= top, once
+    its int64 products are known not to overflow there (8n + 1 in column 2
+    is far smaller)."""
+    ks = []
+    k = 3
+    while math.comb(2 * k, k) <= top:
+        # the largest product: C(r - 1, k) * r at the last candidate r
+        r = max(iroot(top * math.factorial(k), k), 2 * k) + k + 1
+        if math.comb(r - 1, k) * r >= 1 << 63:
+            raise InvalidArgumentError(
+                f"array Pascal counts overflow int64 in column {k} at n = {top}"
+            )
+        ks.append(k)
+        k += 1
+    return ks
+
+
+def pascal_counts(n: np.ndarray) -> np.ndarray:
+    """`pascal_count` of every entry of an int64 array, each n >= 2, as an
+    int64 array.
+
+    The method is `pascal_count`'s on arrays.  The k = 2 column is the int64
+    square root of 8n + 1, corrected by one either way.  In each column k >= 3
+    with C(2k, k) <= n, the candidates are r = max(R - 1, 2k) and the k + 1
+    integers above it, R = floor((n * k!)**(1/k)) taken in float64, which is
+    within one of the root; C(r, k) is an exact int64 product for the first
+    and is stepped as C(r + 1, k) = C(r, k) * (r + 1) / (r + 1 - k).  A
+    central hit (r = 2k) counts once, any other hit twice.  Raises
+    InvalidArgumentError when a product could overflow int64, which first
+    happens in column 22 at n = C(44, 22) = 2104098963720.
+    """
+    if len(n) and int(n.min()) < 2:
+        raise InvalidArgumentError(f"pascal_count requires n >= 2, got {int(n.min())}")
+    columns = _pascal_columns(int(n.max()) if len(n) else 2)
+    total = np.where(n == 2, 1, 2)
+    m = 8 * n + 1
+    s = np.sqrt(m).astype(np.int64)
+    s -= s * s > m
+    s += (s + 1) * (s + 1) <= m
+    # n = C(r, 2) with r = (1 + s) / 2 >= 4, central at s = 7 (n = 6)
+    total += ((s * s == m) & (s >= 7)) * np.where(s == 7, 1, 2)
+    for k in columns:
+        idx = np.flatnonzero(n >= math.comb(2 * k, k))
+        v = n[idx]
+        root = (v * float(math.factorial(k))) ** (1 / k)
+        r = np.maximum(root.astype(np.int64) - 1, 2 * k)
+        c = r.copy()
+        for j in range(1, k):
+            c *= r - j
+            c //= j + 1
+        for step in range(k + 2):
+            if step:
+                c *= r + 1
+                c //= r + 1 - k
+                r += 1
+            hit = c == v
+            total[idx[hit]] += np.where(r[hit] == 2 * k, 1, 2)
     return total
 
 

@@ -24,9 +24,14 @@ views of their own, beside the sweep.
 `exp_gcd` is not swept: the gcd of n's exponents is the largest k with n a
 perfect k-th power, so it is written at the k-th powers m**k in the block,
 whose bases m come from integer roots of the block's ends.  Blocks hold
-BLOCK integers, so every field array is at most 1 MB, small enough for the
-allocator to reuse from block to block (the cache-sized segments of Bays &
-Hudson, *BIT* 17, 1977).  `small_primes` sieves the primes in segments
+BLOCK integers, so every field array is at most 1 MB (the cache-sized
+segments of Bays & Hudson, *BIT* 17, 1977).  An array freed at the end of a
+block is not reliably reused by the next one: glibc can give the pages back
+to the OS between blocks and fault them in again.  So the running product
+`value`, which never leaves the sieve, is one buffer reused by every block,
+while the yielded arrays are fresh, and stay valid after the next block.  A
+scan that reads `ln_n` and `lnln_n` on every block can give the block
+buffers for them in `log_out`.  `small_primes` sieves the primes in segments
 too, of a megabyte of odd-number flags each; it is the package's one prime
 generator besides `arith.is_prime`.
 """
@@ -104,6 +109,10 @@ class BlockStats:
       exp_gcd         int8   gcd of the exponents
       ap[p]           int8   exponent of the prime p
       smooth_ok[p0]   bool   n has no prime factor above p0
+
+    `log_out`, when given, holds two float64 buffers of at least len(n)
+    entries, which `ln_n` and `lnln_n` fill instead of fresh arrays; the
+    logs are then valid only until the buffers' owner fills them again.
     """
 
     lo: int
@@ -117,16 +126,19 @@ class BlockStats:
     exp_gcd: np.ndarray | None = None
     ap: dict[int, np.ndarray] = field(default_factory=dict)
     smooth_ok: dict[int, np.ndarray] = field(default_factory=dict)
+    log_out: tuple[np.ndarray, np.ndarray] | None = None
 
     @cached_property
     def ln_n(self) -> np.ndarray:
         """log n, computed once per block for every sequence that reads it."""
-        return np.log(self.n.astype(np.float64))
+        out = None if self.log_out is None else self.log_out[0][: len(self.n)]
+        return np.log(self.n, out=out)
 
     @cached_property
     def lnln_n(self) -> np.ndarray:
         """log log n, likewise once per block."""
-        return np.log(self.ln_n)
+        out = None if self.log_out is None else self.log_out[1][: len(self.n)]
+        return np.log(self.ln_n, out=out)
 
 
 def _exp_gcd(lo: int, hi: int) -> np.ndarray:
@@ -157,8 +169,9 @@ def iter_blocks(
     exact p-adic valuation arrays for those primes (a non-prime raises
     InvalidArgumentError), and `smooth_bounds` adds boolean is-p0-smooth
     masks for each bound p0, given in any order, each read once after the
-    piece of swept primes that ends at p0.  `limit` must be below 2**63, and
-    the primes swept, up to isqrt(limit), at most PRIME_BOUND_CAP.
+    piece of swept primes that ends at p0.  `limit` must be below 2**63, the
+    primes swept, up to isqrt(limit), at most PRIME_BOUND_CAP, and
+    `block_size` at least 1.  Every yielded array is the block's own.
     """
     unknown = set(fields) - FIELD_NAMES
     if unknown:
@@ -170,6 +183,8 @@ def iter_blocks(
             raise InvalidArgumentError(f"p={p} is not prime")
     if limit >= _LIMIT_CAP:
         raise InvalidArgumentError(f"bulk scans need limit < 2**63, got {limit}")
+    if block_size < 1:
+        raise InvalidArgumentError(f"block size must be at least 1, got {block_size}")
     if limit < start:
         return
     fields = frozenset(fields)
@@ -177,6 +192,8 @@ def iter_blocks(
     # the sweep fills the smooth masks and every field but exp_gcd
     need_full = bool(fields - {"exp_gcd"} or bounds)
     primes = small_primes(math.isqrt(limit)) if need_full else None
+    # one buffer for each block's running product, sized for the first block
+    value_buf = np.empty(min(block_size, limit + 1 - start), dtype=np.int64)
 
     for lo in range(start, limit + 1, block_size):
         hi = min(lo + block_size, limit + 1)
@@ -205,7 +222,8 @@ def iter_blocks(
 
         if need_full:
             # running product of the prime powers found so far; it divides n
-            value = np.ones(size, dtype=np.int64)
+            value = value_buf[:size]
+            value.fill(1)
             swept = primes[: np.searchsorted(primes, math.isqrt(hi - 1), side="right")]
             pieces = np.split(swept, np.searchsorted(swept, bounds, side="right"))
             for i, piece in enumerate(pieces):

@@ -112,30 +112,37 @@ def sequence_spec(key: str, p: int | None = None) -> SequenceSpec:
 # values
 # ---------------------------------------------------------------------------
 
-# divisor-count / divisor-sum tables for the small exponent gcds
+# divisor-count / divisor-sum tables for the small exponent gcds, as floats
 _TBL = 64
-_D_SMALL = np.zeros(_TBL, dtype=np.int64)
-_SIGMA_SMALL = np.zeros(_TBL, dtype=np.int64)
+_D_SMALL = np.zeros(_TBL)
+_SIGMA_SMALL = np.zeros(_TBL)
 for _i in range(1, _TBL):
     _D_SMALL[_i::_i] += 1
     _SIGMA_SMALL[_i::_i] += _i
 
 
-def sequence_values(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
+def sequence_values(
+    spec: SequenceSpec, stats: BlockStats, out: np.ndarray | None = None
+) -> np.ndarray:
     """x_n for every n in a stats block (indices below start_n give garbage;
-    `deviation` blanks them)."""
+    `deviation` blanks them), written into `out` when it is given, a float64
+    array of the block's length, and into a fresh array otherwise."""
+    if out is None:
+        out = np.empty(len(stats.n))
     key = spec.key
+    # exp_gcd < _TBL, so "clip" never acts; it lets take write straight to out
     if key == "power_rep_count":
-        return _D_SMALL[stats.exp_gcd].astype(np.float64)
+        return np.take(_D_SMALL, stats.exp_gcd, out=out, mode="clip")
     if key == "power_rep_weight":
-        return _SIGMA_SMALL[stats.exp_gcd].astype(np.float64)
+        return np.take(_SIGMA_SMALL, stats.exp_gcd, out=out, mode="clip")
     ln_n = stats.ln_n
     if key == "min_exponent_over_log":
-        return stats.h_min / ln_n
+        return np.divide(stats.h_min, ln_n, out=out)
     if key == "max_exponent_over_log":
-        return stats.h_max / ln_n
+        return np.divide(stats.h_max, ln_n, out=out)
     if key == "valuation_scaled":
-        v = stats.ap[spec.p] * math.log(spec.p) / ln_n
+        v = np.multiply(stats.ap[spec.p], math.log(spec.p), out=out)
+        v /= ln_n
         # x_n is exactly 1 at n = p**k, where the quotient can round below 1
         pk = spec.p
         while pk < stats.hi:
@@ -146,12 +153,12 @@ def sequence_values(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
     lnln_n = stats.lnln_n
     with np.errstate(divide="ignore"):
         if key == "omega_over_loglog":
-            return stats.omega / lnln_n
+            return np.divide(stats.omega, lnln_n, out=out)
         if key == "bigomega_over_loglog":
-            return stats.big_omega / lnln_n
+            return np.divide(stats.big_omega, lnln_n, out=out)
         if key in ("loglog_f", "loglog_fstar"):
             # log f(n) / log n, then log f(n) and its log, in one array
-            v = 0.5 * stats.div_count
+            v = np.multiply(stats.div_count, 0.5, out=out)
             if key == "loglog_fstar":
                 v -= 1.0
             v *= ln_n
@@ -203,11 +210,15 @@ def _pascal_members(eps: float, limit: int) -> np.ndarray:
     return np.array(members, dtype=np.int64)
 
 
-def deviation(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
+def deviation(
+    spec: SequenceSpec, stats: BlockStats, out: np.ndarray | None = None
+) -> np.ndarray:
     """|x_n - L| for every n in a block, and 0 for n < start_n, so that
     `deviation(spec, stats) >= eps` is the block's membership mask.  It is
-    computed in place in the fresh array `sequence_values` returns."""
-    dev = sequence_values(spec, stats)
+    computed in place in the array `sequence_values` returns: `out` when it
+    is given, which then holds it until its owner writes there again, and a
+    fresh array otherwise."""
+    dev = sequence_values(spec, stats, out)
     dev -= spec.limit_value
     np.abs(dev, out=dev)
     dev[: max(0, spec.start_n - stats.lo)] = 0.0
@@ -228,7 +239,13 @@ def exceptional_scan(
     the block's members are stats.lo + idx, and dev is the spec's
     `deviation`.  The pairs come grouped by spec in order of first
     appearance, so dev is computed once per block for all of a spec's eps.
-    Only one deviation array and one pair's indices are held at a time.
+
+    The scan owns three buffers, sized for the first block and reused by
+    every block, so that no block takes fresh pages for them: one for dev,
+    and the block's `log_out` for `stats.ln_n` and `stats.lnln_n`.  So dev
+    is valid only until the iterator moves on to the next spec, and the
+    logs until the next block.  idx and every other array of the stats are
+    the caller's to keep.
     """
     by_spec: dict[SequenceSpec, list[float]] = {}
     for spec, eps in pairs:
@@ -238,12 +255,13 @@ def exceptional_scan(
     if not by_spec:
         return
 
-    def hits(stats: BlockStats):
+    def hits(stats: BlockStats, dev_out: np.ndarray):
         for spec, eps_list in by_spec.items():
-            dev = deviation(spec, stats)
+            dev = deviation(spec, stats, dev_out)
             for eps in eps_list:
                 yield spec, eps, np.flatnonzero(dev >= eps), dev
 
+    bufs = None
     for stats in iter_blocks(
         limit,
         frozenset().union(*(SEQUENCE_KEYS[s.key][2] for s in by_spec)),
@@ -252,7 +270,11 @@ def exceptional_scan(
         block_size=block_size,
         start=min(s.start_n for s in by_spec),
     ):
-        yield stats, hits(stats)
+        size = stats.hi - stats.lo
+        if bufs is None:  # no later block is larger than the first
+            bufs = np.empty((3, size))
+        stats.log_out = (bufs[1], bufs[2])
+        yield stats, hits(stats, bufs[0, :size])
 
 
 def exceptional_members(

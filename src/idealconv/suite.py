@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bulk import small_primes
+from .arith import pascal_counts
+from .bulk import BLOCK, small_primes
 from .convergence import (
     SequenceSpec,
     Tally,
@@ -134,6 +135,28 @@ class SuiteReport:
         return records
 
 
+def _trend_bucket(ks: np.ndarray) -> np.ndarray:
+    """The trend bucket floor(log2(k) * _TREND_SUB) of each k, given as a
+    float64 array."""
+    return np.floor(np.log2(ks) * _TREND_SUB).astype(np.int64)
+
+
+def _bucket_starts(k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The trend buckets that hold a k in [k0, k1], and the first such k of
+    each.  The bucket formula rises with k, so bucket b starts at the first
+    k whose bucket is b or more; that k is within one of 2**(b / _TREND_SUB),
+    so the formula is evaluated at three integers there, not at every k.
+    Below k = 93 some buckets hold no integer: such a bucket has the same
+    first k as the next one, and is skipped."""
+    b0, b1 = _trend_bucket(np.array([k0, k1], dtype=np.float64)).tolist()
+    bs = np.arange(b0 + 1, b1 + 1)
+    c = np.ceil(np.exp2(bs / _TREND_SUB)).astype(np.int64)
+    near = (c[:, None] + np.arange(-1, 2)).astype(np.float64)
+    first = c - 1 + (_trend_bucket(near) < bs[:, None]).sum(axis=1)
+    held = first < np.append(first[1:], k1 + 1)
+    return np.r_[b0, bs[held]], np.r_[k0, first[held]]
+
+
 @dataclass
 class _TrendTally(Tally):
     """A tally that also keeps the peak of log k / log n_k in each geometric
@@ -145,13 +168,13 @@ class _TrendTally(Tally):
         """`Tally.absorb`, given also the members' logs, which the block has."""
         m = len(members)
         if m:
-            ks = np.arange(self.total + 1, self.total + m + 1, dtype=np.float64)
-            ratios = np.log(ks) / ln_members
-            buckets = np.floor(np.log2(ks) * _TREND_SUB).astype(np.int64)
-            starts = np.flatnonzero(np.r_[True, buckets[1:] != buckets[:-1]])
-            for b, r in zip(buckets[starts], np.maximum.reduceat(ratios, starts)):
-                if r > self.peaks.get(int(b), -1.0):
-                    self.peaks[int(b)] = float(r)
+            k0 = self.total + 1
+            ratios = np.log(np.arange(k0, k0 + m, dtype=np.float64)) / ln_members
+            buckets, firsts = _bucket_starts(k0, k0 + m - 1)
+            peaks = np.maximum.reduceat(ratios, firsts - k0)
+            for b, r in zip(buckets.tolist(), peaks.tolist()):
+                if r > self.peaks.get(b, -1.0):
+                    self.peaks[b] = r
         super().absorb(members, upto)
 
     def peak_step(self) -> float | None:
@@ -439,14 +462,19 @@ def _statement_vi_checks(
     cps: tuple[int, ...],
     pascal_check_limit: int,
 ) -> dict[float, list[CheckResult]]:
-    """Statement VI's checks for each eps; the per-n Pascal counts of the
-    membership-agreement check are computed once for the whole grid."""
-    from .arith import pascal_count
-
+    """Statement VI's checks for each eps.  The per-n Pascal counts of the
+    membership-agreement check are computed once for the whole grid, on
+    arrays of at most BLOCK integers; only the n whose count is not 2, the
+    only ones that can be members, are kept."""
     check_to = min(limit, pascal_check_limit)
-    direct_counts = [pascal_count(n) for n in range(2, check_to + 1)]
+    odd = [np.empty((2, 0), dtype=np.int64)]  # rows n and |N(n) - 2|
+    for lo in range(2, check_to + 1, BLOCK):
+        n = np.arange(lo, min(lo + BLOCK, check_to + 1), dtype=np.int64)
+        dist = np.abs(pascal_counts(n) - 2)
+        odd.append(np.stack([n, dist])[:, dist > 0])
+    n, dist = np.concatenate(odd, axis=1)
     return {
-        eps: _statement_vi_eps_checks(eps, limit, cps, check_to, direct_counts)
+        eps: _statement_vi_eps_checks(eps, limit, cps, check_to, n[dist >= eps])
         for eps in eps_grid
     }
 
@@ -456,7 +484,7 @@ def _statement_vi_eps_checks(
     limit: int,
     cps: tuple[int, ...],
     check_to: int,
-    direct_counts: list[int],
+    direct: np.ndarray,
 ) -> list[CheckResult]:
     pascal = sequence_spec("pascal_count")
     members = np.concatenate(
@@ -507,15 +535,11 @@ def _statement_vi_eps_checks(
             )
         )
     if check_to >= 2:
-        direct = [
-            n for n, c in enumerate(direct_counts, start=2) if abs(c - 2) >= eps
-        ]
-        enum = [int(v) for v in members if v <= check_to]
-        same = direct == enum
+        enum = members[members <= check_to]
+        same = np.array_equal(direct, enum)
         wit = ""
         if not same:
-            diff = sorted(set(direct) ^ set(enum))
-            wit = f"; first disagreement at {diff[0]}"
+            wit = f"; first disagreement at {np.setxor1d(direct, enum)[0]}"
         checks.append(
             CheckResult(
                 name="membership-agreement",

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idealconv import (
@@ -20,10 +20,17 @@ from idealconv import (
     pascal_count,
     small_primes,
 )
-from idealconv.bulk import _SEGMENT, PRIME_BOUND_CAP
+from idealconv.arith import pascal_counts
+from idealconv.bulk import _SEGMENT, BLOCK, PRIME_BOUND_CAP
 from idealconv.cli import main
 
-from oracles import pascal_rowscan, power_reps, primes_upto, trial_factorize
+from oracles import (
+    pascal_occurrences,
+    pascal_rowscan,
+    power_reps,
+    primes_upto,
+    trial_factorize,
+)
 
 
 def fn(name: str, n: str, *extra: str) -> dict[int, int | float]:
@@ -278,6 +285,58 @@ def test_pascal_count_singmaster_family(i, count):
     v = math.comb(n, k)
     assert v == math.comb(n - 1, k + 1)
     assert pascal_count(v) == count
+
+
+# ---------------------------------------------------------------------------
+# Pascal counts on arrays
+# ---------------------------------------------------------------------------
+
+# the first n whose array count could overflow int64, in column 22
+_PASCAL_COUNTS_TOP = math.comb(44, 22)
+
+
+def test_pascal_counts_match_per_n_counts_to_1e5():
+    got = pascal_counts(np.arange(2, 10**5 + 1, dtype=np.int64)).tolist()
+    assert got == [pascal_count(n) for n in range(2, 10**5 + 1)]
+    assert got == [pascal_occurrences(n) for n in range(2, 10**5 + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    chunk=st.integers(0, 80),
+    shift=st.integers(-200, 200),
+    size=st.integers(1, 400),
+)
+def test_pascal_counts_on_windows_across_chunk_edges(chunk, shift, size):
+    # the suite counts [2, check limit] in chunks of BLOCK from n = 2
+    lo = max(2, 2 + chunk * BLOCK + shift)
+    got = pascal_counts(np.arange(lo, lo + size, dtype=np.int64))
+    assert got.tolist() == [pascal_count(n) for n in range(lo, lo + size)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(3, 21), extra=st.integers(0, 10**6), shift=st.integers(-20, 0))
+@example(k=3, extra=0, shift=-19)  # C(6, 3) = 20: the window starts at n = 2
+def test_pascal_counts_on_windows_at_binomials(k, extra, shift):
+    # every column up to the last one below the cap, at and beside its hits
+    r = 2 * k + extra
+    while math.comb(r, k) >= _PASCAL_COUNTS_TOP - 40:
+        r = 2 * k + (r - 2 * k) // 2
+    lo = max(2, math.comb(r, k) + shift)
+    got = pascal_counts(np.arange(lo, lo + 40, dtype=np.int64))
+    assert got.tolist() == [pascal_count(n) for n in range(lo, lo + 40)]
+    assert got[math.comb(r, k) - lo] >= 3  # C(r, k) itself, inside the triangle
+
+
+def test_pascal_counts_refuse_int64_overflow():
+    top = _PASCAL_COUNTS_TOP
+    assert pascal_counts(np.array([2, top - 1])).tolist() == [1, pascal_count(top - 1)]
+    for bad in (top, 10**15, 2**62):
+        with pytest.raises(InvalidArgumentError, match="overflow"):
+            pascal_counts(np.array([2, bad]))
+    with pytest.raises(InvalidArgumentError):
+        pascal_counts(np.array([5, 1]))
+    assert pascal_counts(np.empty(0, dtype=np.int64)).tolist() == []
 
 
 # ---------------------------------------------------------------------------

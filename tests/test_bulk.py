@@ -147,6 +147,39 @@ def test_windows_across_the_batched_primes(center, block_size):
         np.testing.assert_array_equal(got[key], col, err_msg=key)
 
 
+@pytest.mark.parametrize("size", [0, -5])
+def test_block_size_below_one_is_rejected(size):
+    # -5 used to yield no block at all, and 0 raised range's bare ValueError
+    with pytest.raises(InvalidArgumentError, match="block size"):
+        list(iter_blocks(1000, block_size=size))
+
+
+def _block_columns(stats) -> dict[str, np.ndarray]:
+    cols = {name: getattr(stats, name) for name in ("n", *FIELD_NAMES)}
+    cols.update({f"ap[{p}]": a for p, a in stats.ap.items()})
+    cols.update({f"smooth_ok[{b}]": m for b, m in stats.smooth_ok.items()})
+    cols.update(ln_n=stats.ln_n, lnln_n=stats.lnln_n)
+    return cols
+
+
+def test_yielded_arrays_outlive_the_next_block():
+    # the sieve reuses a buffer of its own from block to block; every array
+    # it yields must stay as it was when the scan has moved on
+    args = (3 * 10**5,)
+    kwargs = dict(ap_primes=(2, 3), smooth_bounds=(7, 53), block_size=4097)
+    copies = [
+        {key: arr.copy() for key, arr in _block_columns(stats).items()}
+        for stats in iter_blocks(*args, **kwargs)
+    ]
+    kept = list(iter_blocks(*args, **kwargs))
+    assert len(kept) == len(copies) == -(-(3 * 10**5 - 1) // 4097)
+    for stats, want in zip(kept, copies):
+        got = _block_columns(stats)
+        assert got.keys() == want.keys()
+        for key, arr in want.items():
+            np.testing.assert_array_equal(got[key], arr, err_msg=f"{stats.lo} {key}")
+
+
 def test_limit_from_two_to_the_63_is_rejected():
     with pytest.raises(InvalidArgumentError, match="2\\*\\*63"):
         next(iter_blocks(2**63))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import idealconv.arith as arith_mod
 import idealconv.convergence as convergence_mod
 import idealconv.suite as suite_mod
 from idealconv import (
@@ -188,6 +189,49 @@ def test_members_independent_of_block_size():
     one = [int(v) for b in exceptional_members(spec, 0.5, 20_000, block_size=999) for v in b]
     two = [int(v) for b in exceptional_members(spec, 0.5, 20_000) for v in b]
     assert one == two
+
+
+@pytest.mark.parametrize("size", [0, -5])
+def test_members_reject_block_size_below_one(size):
+    # -5 used to give an empty set without a word
+    with pytest.raises(InvalidArgumentError, match="block size"):
+        list(exceptional_members(H_MIN, 0.25, 10_000, block_size=size))
+
+
+_LOG_SPECS = [
+    sequence_spec(key, p=p)
+    for key, p in (
+        ("min_exponent_over_log", None),
+        ("valuation_scaled", 3),
+        ("power_rep_weight", None),
+        ("omega_over_loglog", None),
+        ("loglog_fstar", None),
+    )
+]
+
+
+def test_collected_members_equal_blocks_taken_one_at_a_time():
+    # the scan reuses its deviation and log buffers; the member arrays it
+    # yields are the caller's
+    for spec in _LOG_SPECS:
+        one = [b.copy() for b in exceptional_members(spec, 0.5, 3 * 10**5, block_size=4097)]
+        kept = list(exceptional_members(spec, 0.5, 3 * 10**5, block_size=4097))
+        assert len(kept) == len(one) > 1, spec.label
+        for got, want in zip(kept, one):
+            np.testing.assert_array_equal(got, want, err_msg=spec.label)
+
+
+def test_scan_buffers_hold_each_block_and_spec():
+    # dev and the logs, read while they are valid, equal fresh arrays
+    pairs = [(spec, eps) for spec in _LOG_SPECS for eps in (0.25, 1.0)]
+    for stats, hits in exceptional_scan(pairs, 3 * 10**5, block_size=4097):
+        fresh_ln = np.log(stats.n.astype(np.float64))
+        for spec, eps, idx, dev in hits:
+            np.testing.assert_array_equal(stats.ln_n, fresh_ln)
+            np.testing.assert_array_equal(stats.lnln_n, np.log(fresh_ln))
+            want = convergence_mod.deviation(spec, stats)
+            np.testing.assert_array_equal(dev, want, err_msg=spec.label)
+            np.testing.assert_array_equal(idx, np.flatnonzero(want >= eps))
 
 
 def test_exceptional_eps_validation():
@@ -425,6 +469,76 @@ def test_suite_tallies_match_count_and_limsup_reports(monkeypatch):
             assert tally.counts == [r.count for r in counts.rows], (spec.label, eps)
             limsup = remark_limsup(spec, eps, limit)
             assert tuple(tally.final_rows()) == limsup.rows, (spec.label, eps)
+
+
+def test_vi_direct_counts_independent_of_chunk_size(monkeypatch):
+    args = ((0.25, 0.5, 1.0, 2.0), 10**5, (1000, 10**5), 10**5)
+    want = suite_mod._statement_vi_checks(*args)
+    monkeypatch.setattr(suite_mod, "BLOCK", 997)
+    assert suite_mod._statement_vi_checks(*args) == want
+    assert all(c.passed for checks in want.values() for c in checks)
+
+    # a wrong per-n count shows as the first disagreement
+    def off_at_3003(n):
+        counts = arith_mod.pascal_counts(n)
+        counts[n == 3003] = 2
+        return counts
+
+    monkeypatch.setattr(suite_mod, "pascal_counts", off_at_3003)
+    (agree,) = [c for c in suite_mod._statement_vi_checks(*args)[2.0] if "agree" in c.name]
+    assert not agree.passed and agree.details.endswith("first disagreement at 3003")
+
+
+def _per_member_trend_peaks(blocks) -> dict[int, float]:
+    """The peaks of `_TrendTally`, bucketed member by member: the absorb that
+    the k-threshold buckets replaced."""
+    peaks: dict[int, float] = {}
+    total = 0
+    for members, ln_members in blocks:
+        m = len(members)
+        if m:
+            ks = np.arange(total + 1, total + m + 1, dtype=np.float64)
+            ratios = np.log(ks) / ln_members
+            buckets = np.floor(np.log2(ks) * suite_mod._TREND_SUB).astype(np.int64)
+            starts = np.flatnonzero(np.r_[True, buckets[1:] != buckets[:-1]])
+            for b, r in zip(buckets[starts], np.maximum.reduceat(ratios, starts)):
+                if r > peaks.get(int(b), -1.0):
+                    peaks[int(b)] = float(r)
+        total += m
+    return peaks
+
+
+def test_bucket_starts_equal_per_member_buckets_to_2e6():
+    top = 2 * 10**6
+    buckets = np.floor(np.log2(np.arange(1, top + 1.0)) * suite_mod._TREND_SUB)
+    firsts = np.flatnonzero(np.r_[True, buckets[1:] != buckets[:-1]])
+    got_b, got_k = suite_mod._bucket_starts(1, top)
+    assert got_b.tolist() == buckets[firsts].tolist()
+    assert got_k.tolist() == (firsts + 1).tolist()
+    # windows that start inside a bucket, in the sparse buckets below 93 too
+    rng = np.random.default_rng(13)
+    for k0 in [1, 2, 3, 50, 92, 93, *rng.integers(1, top, 200).tolist()]:
+        k1 = min(top, k0 + int(rng.integers(0, 300_000)))
+        inside = firsts[(k0 <= firsts + 1) & (firsts + 1 <= k1)]
+        got_b, got_k = suite_mod._bucket_starts(k0, k1)
+        assert got_k.tolist() == [k0, *(inside + 1)[inside + 1 > k0].tolist()], k0
+        assert got_b.tolist() == buckets[got_k - 1].tolist(), k0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trend_peaks_equal_per_member_buckets(seed):
+    rng = np.random.default_rng(seed)
+    limit = int(rng.integers(10**3, 10**6))
+    members = np.flatnonzero(rng.random(limit) < rng.uniform(0.01, 0.95)) + 3
+    edges = np.sort(rng.integers(0, len(members) + 1, int(rng.integers(0, 40))))
+    blocks = [(b, np.log(b.astype(np.float64))) for b in np.split(members, edges)]
+    tally = suite_mod._TrendTally()
+    upto = 3
+    for block, ln_block in blocks:
+        upto = int(block[-1]) + 1 if len(block) else upto
+        tally.absorb(block, upto, ln_block)
+    assert tally.total == len(members)
+    assert tally.peaks == _per_member_trend_peaks(blocks)
 
 
 def test_suite_records_independent_of_block_size(monkeypatch):

@@ -48,6 +48,8 @@ def test_tracer_counts_the_scan_layers_and_uninstalls():
         with contextlib.redirect_stdout(io.StringIO()):
             argv = ["aeps", "--seq", "ap", "--p", "3", "--eps", "0.5", "--limit", "100000"]
             assert ic.cli.main(argv) == 0
+            # the suite counts on arrays; `fn N` is the per-n Pascal count
+            assert ic.cli.main(["fn", "N", "2:200"]) == 0
     finally:
         tracer.uninstall()
     metrics = tracer.metrics()
