@@ -94,24 +94,6 @@ def pascal_count(n: int) -> int:
     return total
 
 
-def _pascal_columns(top: int) -> list[int]:
-    """The columns k >= 3 that `pascal_counts` searches for n <= top, once
-    its int64 products are known not to overflow there (8n + 1 in column 2
-    is far smaller)."""
-    ks = []
-    k = 3
-    while math.comb(2 * k, k) <= top:
-        # the largest product: C(r - 1, k) * r at the last candidate r
-        r = max(iroot(top * math.factorial(k), k), 2 * k) + k + 1
-        if math.comb(r - 1, k) * r >= 1 << 63:
-            raise InvalidArgumentError(
-                f"array Pascal counts overflow int64 in column {k} at n = {top}"
-            )
-        ks.append(k)
-        k += 1
-    return ks
-
-
 def pascal_counts(n: np.ndarray) -> np.ndarray:
     """`pascal_count` of every entry of an int64 array, each n >= 2, as an
     int64 array.
@@ -128,7 +110,14 @@ def pascal_counts(n: np.ndarray) -> np.ndarray:
     """
     if len(n) and int(n.min()) < 2:
         raise InvalidArgumentError(f"pascal_count requires n >= 2, got {int(n.min())}")
-    columns = _pascal_columns(int(n.max()) if len(n) else 2)
+    top = int(n.max()) if len(n) else 2
+    # column 22's last product, C(66, 22) * 67 at n = C(44, 22), is the
+    # first one past 2**63; every column below stays under it up to there
+    if top >= math.comb(44, 22):
+        raise InvalidArgumentError(
+            f"array Pascal counts overflow int64 from n = C(44, 22), got {top}"
+        )
+    columns = [k for k in range(3, 22) if math.comb(2 * k, k) <= top]
     total = np.where(n == 2, 1, 2)
     m = 8 * n + 1
     s = np.sqrt(m).astype(np.int64)

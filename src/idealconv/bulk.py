@@ -29,11 +29,10 @@ segments of Bays & Hudson, *BIT* 17, 1977).  An array freed at the end of a
 block is not reliably reused by the next one: glibc can give the pages back
 to the OS between blocks and fault them in again.  So the running product
 `value`, which never leaves the sieve, is one buffer reused by every block,
-while the yielded arrays are fresh, and stay valid after the next block.  A
-scan that reads `ln_n` and `lnln_n` on every block can give the block
-buffers for them in `log_out`.  `small_primes` sieves the primes in segments
-too, of a megabyte of odd-number flags each; it is the package's one prime
-generator besides `arith.is_prime`.
+and so are the two that `ln_n` and `lnln_n` are written into; the field
+arrays are fresh, and stay valid after the next block.  `small_primes`
+sieves the primes in segments too, of a megabyte of odd-number flags each;
+it is the package's one prime generator besides `arith.is_prime`.
 """
 
 from __future__ import annotations
@@ -110,14 +109,15 @@ class BlockStats:
       ap[p]           int8   exponent of the prime p
       smooth_ok[p0]   bool   n has no prime factor above p0
 
-    `log_out`, when given, holds two float64 buffers of at least len(n)
-    entries, which `ln_n` and `lnln_n` fill instead of fresh arrays; the
-    logs are then valid only until the buffers' owner fills them again.
+    `ln_n` and `lnln_n` are computed on first read into `log_buf`, two
+    float64 arrays of len(n) that iter_blocks reuses for every block, so they
+    are valid only until the next block's logs are read.
     """
 
     lo: int
     hi: int
     n: np.ndarray
+    log_buf: tuple[np.ndarray, np.ndarray] = field(repr=False)
     h_min: np.ndarray | None = None
     h_max: np.ndarray | None = None
     omega: np.ndarray | None = None
@@ -126,19 +126,16 @@ class BlockStats:
     exp_gcd: np.ndarray | None = None
     ap: dict[int, np.ndarray] = field(default_factory=dict)
     smooth_ok: dict[int, np.ndarray] = field(default_factory=dict)
-    log_out: tuple[np.ndarray, np.ndarray] | None = None
 
     @cached_property
     def ln_n(self) -> np.ndarray:
         """log n, computed once per block for every sequence that reads it."""
-        out = None if self.log_out is None else self.log_out[0][: len(self.n)]
-        return np.log(self.n, out=out)
+        return np.log(self.n, out=self.log_buf[0])
 
     @cached_property
     def lnln_n(self) -> np.ndarray:
         """log log n, likewise once per block."""
-        out = None if self.log_out is None else self.log_out[1][: len(self.n)]
-        return np.log(self.ln_n, out=out)
+        return np.log(self.ln_n, out=self.log_buf[1])
 
 
 def _exp_gcd(lo: int, hi: int) -> np.ndarray:
@@ -171,7 +168,8 @@ def iter_blocks(
     masks for each bound p0, given in any order, each read once after the
     piece of swept primes that ends at p0.  `limit` must be below 2**63, the
     primes swept, up to isqrt(limit), at most PRIME_BOUND_CAP, and
-    `block_size` at least 1.  Every yielded array is the block's own.
+    `block_size` at least 1.  Every yielded field array is the block's own;
+    the logs share two buffers across the blocks (see BlockStats).
     """
     unknown = set(fields) - FIELD_NAMES
     if unknown:
@@ -192,14 +190,17 @@ def iter_blocks(
     # the sweep fills the smooth masks and every field but exp_gcd
     need_full = bool(fields - {"exp_gcd"} or bounds)
     primes = small_primes(math.isqrt(limit)) if need_full else None
-    # one buffer for each block's running product, sized for the first block
-    value_buf = np.empty(min(block_size, limit + 1 - start), dtype=np.int64)
+    # buffers for each block's running product and logs, sized for the
+    # first block, which no later block exceeds
+    first = min(block_size, limit + 1 - start)
+    value_buf = np.empty(first, dtype=np.int64)
+    log_buf = (np.empty(first), np.empty(first))
 
     for lo in range(start, limit + 1, block_size):
         hi = min(lo + block_size, limit + 1)
         size = hi - lo
         n_arr = np.arange(lo, hi, dtype=np.int64)
-        stats = BlockStats(lo=lo, hi=hi, n=n_arr)
+        stats = BlockStats(lo=lo, hi=hi, n=n_arr, log_buf=(log_buf[0][:size], log_buf[1][:size]))
         if "h_min" in fields:
             stats.h_min = np.full(size, _NO_EXPONENT, dtype=np.int8)
         if "h_max" in fields:

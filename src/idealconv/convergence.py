@@ -240,12 +240,11 @@ def exceptional_scan(
     `deviation`.  The pairs come grouped by spec in order of first
     appearance, so dev is computed once per block for all of a spec's eps.
 
-    The scan owns three buffers, sized for the first block and reused by
-    every block, so that no block takes fresh pages for them: one for dev,
-    and the block's `log_out` for `stats.ln_n` and `stats.lnln_n`.  So dev
-    is valid only until the iterator moves on to the next spec, and the
-    logs until the next block.  idx and every other array of the stats are
-    the caller's to keep.
+    The scan owns one buffer for dev, sized for the first block and reused
+    by every block, so that no block takes fresh pages for it: dev is valid
+    only until the iterator moves on to the next spec.  `stats.ln_n` and
+    `stats.lnln_n` share iter_blocks' buffers, valid until the next block.
+    idx and every other array of the stats are the caller's to keep.
     """
     by_spec: dict[SequenceSpec, list[float]] = {}
     for spec, eps in pairs:
@@ -261,7 +260,7 @@ def exceptional_scan(
             for eps in eps_list:
                 yield spec, eps, np.flatnonzero(dev >= eps), dev
 
-    bufs = None
+    dev_buf = None
     for stats in iter_blocks(
         limit,
         frozenset().union(*(SEQUENCE_KEYS[s.key][2] for s in by_spec)),
@@ -271,10 +270,9 @@ def exceptional_scan(
         start=min(s.start_n for s in by_spec),
     ):
         size = stats.hi - stats.lo
-        if bufs is None:  # no later block is larger than the first
-            bufs = np.empty((3, size))
-        stats.log_out = (bufs[1], bufs[2])
-        yield stats, hits(stats, bufs[0, :size])
+        if dev_buf is None:  # no later block is larger than the first
+            dev_buf = np.empty(size)
+        yield stats, hits(stats, dev_buf[:size])
 
 
 def exceptional_members(

@@ -158,13 +158,12 @@ def _block_columns(stats) -> dict[str, np.ndarray]:
     cols = {name: getattr(stats, name) for name in ("n", *FIELD_NAMES)}
     cols.update({f"ap[{p}]": a for p, a in stats.ap.items()})
     cols.update({f"smooth_ok[{b}]": m for b, m in stats.smooth_ok.items()})
-    cols.update(ln_n=stats.ln_n, lnln_n=stats.lnln_n)
     return cols
 
 
 def test_yielded_arrays_outlive_the_next_block():
-    # the sieve reuses a buffer of its own from block to block; every array
-    # it yields must stay as it was when the scan has moved on
+    # the sieve reuses a buffer of its own from block to block; every field
+    # array it yields must stay as it was when the scan has moved on
     args = (3 * 10**5,)
     kwargs = dict(ap_primes=(2, 3), smooth_bounds=(7, 53), block_size=4097)
     copies = [
