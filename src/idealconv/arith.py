@@ -99,20 +99,21 @@ def pascal_counts(n: np.ndarray) -> np.ndarray:
     int64 array.
 
     The method is `pascal_count`'s on arrays.  The k = 2 column is the int64
-    square root of 8n + 1, corrected by one either way.  In each column k >= 3
-    with C(2k, k) <= n, the candidates are r = max(R - 1, 2k) and the k + 1
-    integers above it, R = floor((n * k!)**(1/k)) taken in float64, which is
-    within one of the root; C(r, k) is an exact int64 product for the first
-    and is stepped as C(r + 1, k) = C(r, k) * (r + 1) / (r + 1 - k).  A
-    central hit (r = 2k) counts once, any other hit twice.  Raises
-    InvalidArgumentError when a product could overflow int64, which first
-    happens in column 22 at n = C(44, 22) = 2104098963720.
+    square root of 8n + 1, corrected by one either way.  In column k >= 3,
+    with C(2k, k) <= n, n * k! = r (r - 1) ... (r - k + 1) at a solution r,
+    so (r - k + 1)**k <= n * k! <= (r - (k - 1)/2)**k by AM-GM.  With
+    R = floor((n * k!)**(1/k)) taken in float64, which is within one of the
+    real root, every solution lies in [max(R - 1 + k // 2, 2k), R + k]: the
+    k + 2 - k // 2 candidates.  C(r, k) is an exact int64 product for the
+    first and is stepped as C(r + 1, k) = C(r, k) * (r + 1) / (r + 1 - k).
+    A central hit (r = 2k) counts once, any other hit twice.  Raises
+    InvalidArgumentError from n = C(44, 22) = 2104098963720 on, where
+    column 22 starts.
     """
     if len(n) and int(n.min()) < 2:
         raise InvalidArgumentError(f"pascal_count requires n >= 2, got {int(n.min())}")
     top = int(n.max()) if len(n) else 2
-    # column 22's last product, C(66, 22) * 67 at n = C(44, 22), is the
-    # first one past 2**63; every column below stays under it up to there
+    # a fixed cap, below which no column's product comes near 2**63
     if top >= math.comb(44, 22):
         raise InvalidArgumentError(
             f"array Pascal counts overflow int64 from n = C(44, 22), got {top}"
@@ -129,12 +130,12 @@ def pascal_counts(n: np.ndarray) -> np.ndarray:
         idx = np.flatnonzero(n >= math.comb(2 * k, k))
         v = n[idx]
         root = (v * float(math.factorial(k))) ** (1 / k)
-        r = np.maximum(root.astype(np.int64) - 1, 2 * k)
+        r = np.maximum(root.astype(np.int64) - 1 + k // 2, 2 * k)
         c = r.copy()
         for j in range(1, k):
             c *= r - j
             c //= j + 1
-        for step in range(k + 2):
+        for step in range(k + 2 - k // 2):
             if step:
                 c *= r + 1
                 c //= r + 1 - k

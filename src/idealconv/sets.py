@@ -135,16 +135,12 @@ class IntegerSet:
         for chunk in self.chunks():
             yield from chunk
 
-    def write(self, fp: TextIO, terms: int | None = None) -> None:
-        """Write elements one per line (the first `terms`, or all if finite),
-        one write per chunk."""
-        if terms is None:
-            chunks = self.chunks()
-        else:
-            head = self.prefix(terms)
-            chunks = (head[i : i + CHUNK] for i in range(0, terms, CHUNK))
-        for chunk in chunks:
-            fp.write("\n".join(map(str, chunk)) + "\n")
+    def write(self, fp: TextIO, terms: int) -> None:
+        """Write the first `terms` elements one per line, one write per
+        chunk."""
+        head = self.prefix(terms)
+        for i in range(0, terms, CHUNK):
+            fp.write("\n".join(map(str, head[i : i + CHUNK])) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +199,8 @@ def power_set(s: float | Fraction) -> IntegerSet:
 
     When s is (or rounds to, within 1e-12) a rational num/den with den <= 1000
     the floor is exact: a_n = floor((n**den) ** (1/num)), from integer powers
-    (num = 1) or from float64 roots checked with integer roots.
+    (num = 1), or from float64 roots checked with integer roots while the
+    terms stay below 2**52 and from integer roots past it.
     Otherwise terms are computed in extended precision with a best-effort
     correction, and a term past the long double range (about 2**16384)
     raises InvalidArgumentError.  For s < 1 the map n -> floor(n**(1/s))
@@ -240,47 +237,20 @@ _LOG_FLOAT_EXACT = 52 * math.log(2)
 def _root_chunks(num: int, den: int) -> Iterator[list[int]]:
     """floor(n ** (den/num)) for n >= 1 and num > 1, exactly, by chunks."""
     e = den / num
-    prev = 0
     for lo in itertools.count(1, CHUNK):
         hi = lo + CHUNK
         if e * math.log(hi - 1) < _LOG_FLOAT_EXACT:
             v = np.arange(lo, hi, dtype=np.float64) ** e
             f = np.floor(v)
             # only a floor within 1e-14 * v of an integer can be off; past
-            # about 5e13 that is every floor, still faster than the walk
+            # about 5e13 that is every floor
             near = np.flatnonzero(np.minimum(v - f, f + 1 - v) < 1e-14 * v)
             out = f.astype(np.int64).tolist()
             for i in near.tolist():
                 out[i] = iroot((lo + i) ** den, num)
         else:
-            out = []
-            for n in range(lo, hi):
-                prev = _root_step(prev, n, num, den) if n > 1 else 1
-                out.append(prev)
-        prev = out[-1]
+            out = [iroot(n**den, num) for n in range(lo, hi)]
         yield out
-
-
-def _root_step(prev: int, n: int, num: int, den: int) -> int:
-    """floor((n**den) ** (1/num)) for n >= 2, given the term prev at n - 1."""
-    x = n**den
-    # first-order seed from the previous term; walk at most 8 steps in
-    # either direction, else take the exact root (the seed's error grows
-    # like prev / n**2, so steep exponents need the fallback routinely)
-    r = prev + (den * prev) // (num * (n - 1)) + 1
-    if r**num > x:
-        for _ in range(8):
-            r -= 1
-            if r**num <= x:
-                return r
-        return iroot(x, num)
-    if (r + 1) ** num <= x:
-        for _ in range(8):
-            r += 1
-            if (r + 1) ** num > x:
-                return r
-        return iroot(x, num)
-    return r
 
 
 def _ints(f: np.ndarray) -> list[int]:

@@ -328,6 +328,22 @@ def test_pascal_counts_on_windows_at_binomials(k, extra, shift):
     assert got[math.comb(r, k) - lo] >= 3  # C(r, k) itself, inside the triangle
 
 
+def test_pascal_counts_at_every_binomial_below_the_cap():
+    # every C(r, k) and its two neighbours below the cap, for each column
+    # k >= 3 with r up to 2k + 3000: 22,219 values, each a hit or a near miss
+    values = sorted(
+        {
+            math.comb(r, k) + d
+            for k in range(3, 22)
+            for r in range(2 * k, 2 * k + 3001)
+            for d in (-1, 0, 1)
+            if math.comb(r, k) + 1 < _PASCAL_COUNTS_TOP
+        }
+    )
+    got = pascal_counts(np.array(values, dtype=np.int64)).tolist()
+    assert got == [pascal_count(n) for n in values]
+
+
 def test_pascal_counts_refuse_int64_overflow():
     top = _PASCAL_COUNTS_TOP
     assert pascal_counts(np.array([2, top - 1])).tolist() == [1, pascal_count(top - 1)]
@@ -358,9 +374,10 @@ def test_iroot_exact_powers():
 
 
 def test_iroot_past_float_precision():
-    # the float root of these is off by far more than one step
+    # the float root of these is off by far more than one step; past
+    # 2**1024 (r = 10**200) the seed is a power of two
     t0 = time.perf_counter()
-    for r in (2**53 + 1, 10**20, 10**40):
+    for r in (2**53 + 1, 10**20, 10**40, 10**200):
         for k in (3, 5, 7):
             for x in (r**k - 1, r**k, r**k + 1):
                 got = iroot(x, k)

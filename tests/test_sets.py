@@ -80,10 +80,13 @@ def test_power_floor_property(s, n):
         (Fraction(2, 3), 4 * CHUNK, None),
         (Fraction(3, 4), 4 * CHUNK, None),
         # floor(n**(5/2)) passes 2**52 after n = 1825676, where the chunks
-        # turn from float64 roots (checked with integer roots) to the walk
+        # turn from float64 roots (checked with integer roots) to integer roots
         (Fraction(2, 5), 1825676 + CHUNK, 1825676),
-        # e = 9/2 is past 2**52 within the first chunk: the walk from n = 1
+        # e = 9/2 is past 2**52 within the first chunk: integer roots from n = 1
         (Fraction(2, 9), 3 * CHUNK, None),
+        # terms past 2**1024 from n = 5: iroot on n**999, which is past the
+        # float range from n = 3 (for num = 2 iroot is math.isqrt)
+        (Fraction(2, 999), CHUNK + 1, None),
     ],
 )
 def test_power_floor_exact_at_chunk_edges(s, terms, crossing):
