@@ -150,6 +150,9 @@ def pascal_counts(n: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_FLOAT_SEED_LIMIT = 1 << 1000  # iroot seeds larger x from their top 1000 bits
+
+
 def iroot(x: int, k: int) -> int:
     """floor(x ** (1/k)) for integers x >= 0, k >= 1, exactly."""
     if x < 0 or k < 1:
@@ -158,13 +161,18 @@ def iroot(x: int, k: int) -> int:
         return x
     if k == 2:
         return math.isqrt(x)
-    # start at or above the floor root: the float root is within 2**-44 of
-    # the root (relative), so a 2**-40 margin covers it; past float range,
-    # a power of two
-    try:
+    # start at or above the floor root: a float root is within 2**-43 of the
+    # real one (relative), and a 2**-40 margin covers that.  Past the limit,
+    # x < (m + 1) * 2**s with m = x >> s of 1000 bits, so the root is below
+    # (m + 1)**(1/k) * 2**((s % k) / k) * 2**(s // k): the first two factors
+    # are taken in floats, with the margin, and the product exactly
+    if x < _FLOAT_SEED_LIMIT:
         r = int(x ** (1.0 / k) * (1 + 2.0**-40))
-    except OverflowError:
-        r = 1 << -(-x.bit_length() // k)
+    else:
+        s = x.bit_length() - 1000
+        y = ((x >> s) + 1) ** (1.0 / k) * 2.0 ** (s % k / k) * (1 + 2.0**-40)
+        num, den = y.as_integer_ratio()
+        r = (num << s // k) // den
     # Newton steps from above never undershoot the floor root (AM-GM) and
     # strictly descend until r**k <= x, where r is the floor root
     while r**k > x:

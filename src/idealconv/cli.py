@@ -17,6 +17,7 @@ csv/json.  Exit codes: 0 success/consistent/pass, 1 inconsistent/fail,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -102,6 +103,12 @@ def _render_json(command: str, records: list[dict], fp: TextIO, extra: dict):
     fp.write("\n")
 
 
+def _output(args):
+    """The file that --out names, opened for writing, or stdout, for a
+    `with` block: the one place --out is opened, once the output exists."""
+    return open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(
     args,
     command: str,
@@ -109,17 +116,13 @@ def _emit(
     head: list[str] | None = None,
     extra: dict | None = None,
 ) -> None:
-    fp = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _output(args) as fp:
         if args.output == "table":
             _render_table(records, fp, head)
         elif args.output == "csv":
             _render_csv(records, fp)
         else:
             _render_json(command, records, fp, extra or {})
-    finally:
-        if args.out:
-            fp.close()
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +240,13 @@ def _fn_values(
 ) -> Iterator[tuple[int, int | float]]:
     """(n, value) for every n in [lo, hi], read off the block sieve (the
     Pascal count N is computed per n)."""
+    if name == "ap" and p is None:
+        raise InvalidArgumentError("fn ap requires --p PRIME")
+    if name != "ap" and p is not None:
+        raise InvalidArgumentError(f"fn {name} takes no prime parameter")
     if name == "N":
         yield from ((n, arith.pascal_count(n)) for n in range(lo, hi + 1))
         return
-    if name == "ap" and p is None:
-        raise InvalidArgumentError("fn ap requires --p PRIME")
     field, at_one, key = _FN[name]
     if lo == 1:
         if at_one is None:
@@ -281,12 +286,9 @@ def _cmd_fn(args) -> int:
 
 def _cmd_construct(args) -> int:
     a = _build_set(args)
-    fp = open(args.out, "w") if args.out else sys.stdout
-    try:
+    a.prefix(args.terms)  # a set that fails to generate fails before --out
+    with _output(args) as fp:
         a.write(fp, terms=args.terms)
-    finally:
-        if args.out:
-            fp.close()
     return 0
 
 
@@ -356,7 +358,7 @@ def _cmd_aeps(args) -> int:
         raise InvalidArgumentError(
             f"unknown sequence {args.seq!r}; choose from {_SEQ_NAMES}"
         )
-    spec = sequence_spec(_FN[args.seq][2], p=args.p if args.seq == "ap" else None)
+    spec = sequence_spec(_FN[args.seq][2], p=args.p)
     # a count report scans only to its last checkpoint, which can sit below
     # 2**63 when --limit does not, so check the limit itself
     if args.limit >= 2**63:

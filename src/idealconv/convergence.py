@@ -13,7 +13,8 @@ ranges like [2, 10**7] costs one sieve pass.  A `Tally` is the running state
 of one exceptional set across a scan: the count A(x) at each checkpoint and
 the ratio rows at k = 1, 2, 4, ...  `exceptional_members`, the count and
 limsup reports and the statement suite all read that one generator and feed
-their tallies from it; only the Pascal count is enumerated instead.
+their tallies from it; the Pascal count instead thresholds at each eps one
+table of |N(n) - 2|, `pascal_distances`, walked from Pascal's triangle.
 `envelope_rows` is the one envelope comparison and decides count <=
 envelope, in integers where the two can tie.  There is no per-n path:
 `idealconv fn` reads single values off the same blocks, and the tests check
@@ -43,6 +44,7 @@ __all__ = [
     "exceptional_scan",
     "deviation",
     "PASCAL_LIMIT_CAP",
+    "pascal_distances",
     "smooth_bound_for",
     "envelope_value",
     "default_envelope",
@@ -174,40 +176,37 @@ def sequence_values(
 
 
 # largest limit whose k = 2 column, C(r, 2) for 4 <= r, has at most 2**22
-# entries; the enumeration's dict grows with that column
+# entries; the walk's dict grows with that column
 PASCAL_LIMIT_CAP = math.comb((1 << 22) + 4, 2) - 1
 
 
-def _pascal_members(eps: float, limit: int) -> np.ndarray:
-    """Exceptional n <= limit for the Pascal occurrence count.
+def pascal_distances(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n <= limit whose Pascal occurrence count N(n) is not 2, in
+    increasing order, and |N(n) - 2| for each, as two int64 arrays.
 
-    |N(n) - 2| >= eps holds exactly for n = 2 (when eps <= 1) and for n
-    with at least ceil(eps) occurrences interior to the triangle, i.e.
-    n = C(r, k) with k >= 2 and r >= 2k; so those values are enumerated
-    directly instead of scanning every n.
+    N(2) = 1.  Every n >= 3 occurs as C(n, 1) and C(n, n - 1), and its other
+    occurrences are the C(r, k) = n with 2 <= k <= r - 2.  One walk down the
+    columns finds those, taking each symmetric pair once as r >= 2k, and
+    counts a central entry (r = 2k) once and any other twice: that count is
+    |N(n) - 2|.  The walk takes nothing from `arith`, so it is a method
+    independent of the per-n counts there.
     """
-    if not eps > 0:
-        raise InvalidArgumentError(f"tolerance eps must be positive, got {eps}")
     if limit > PASCAL_LIMIT_CAP:
         raise InvalidArgumentError(
             f"Pascal count scans support limit <= {PASCAL_LIMIT_CAP}, got {limit}"
         )
-    need = max(1, math.ceil(eps))
-    hits: dict[int, int] = {}
+    dist = {2: 1} if limit >= 2 else {}
     k = 2
     while math.comb(2 * k, k) <= limit:
-        r = 2 * k
-        while True:
-            v = math.comb(r, k)
-            if v > limit:
-                break
-            hits[v] = hits.get(v, 0) + (1 if r == 2 * k else 2)
+        r, v = 2 * k, math.comb(2 * k, k)
+        while v <= limit:
+            dist[v] = dist.get(v, 0) + (1 if r == 2 * k else 2)
             r += 1
+            v = v * r // (r - k)  # C(r, k) from C(r - 1, k)
         k += 1
-    members = sorted(v for v, c in hits.items() if c >= need)
-    if eps <= 1 and limit >= 2:
-        members = [2] + members
-    return np.array(members, dtype=np.int64)
+    n = np.fromiter(dist, np.int64, len(dist))
+    order = np.argsort(n)
+    return n[order], np.fromiter(dist.values(), np.int64, len(dist))[order]
 
 
 def deviation(
@@ -280,9 +279,12 @@ def exceptional_members(
 ) -> Iterator[np.ndarray]:
     """Members of the exceptional set in [start_n, limit], one sorted array
     per sieve block of `exceptional_scan` (the Pascal count's members are
-    enumerated, in one array)."""
+    read off `pascal_distances`, in one array)."""
     if spec.key == "pascal_count":
-        members = _pascal_members(eps, limit)
+        if not eps > 0:
+            raise InvalidArgumentError(f"tolerance eps must be positive, got {eps}")
+        n, dist = pascal_distances(limit)
+        members = n[dist >= eps]
         if len(members):
             yield members
         return

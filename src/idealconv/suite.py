@@ -11,8 +11,8 @@ package: here one `convergence.Tally` per (sequence, eps), and one per
 smooth bound of statement I from the same blocks.  The suite adds two hooks
 to the scan, statement I's smooth-containment witnesses and the IV/V set
 equality, and its checks read counts and ratio rows off the tallies.
-Statement VI takes the Pascal members from `exceptional_members`, which
-enumerates Pascal's triangle instead of scanning.
+Statement VI walks Pascal's triangle once, `convergence.pascal_distances`,
+and each eps thresholds that one table of |N(n) - 2|.
 
 Statement identifiers (I .. VIII) index the suite's own checklist:
 
@@ -45,8 +45,8 @@ from .convergence import (
     Tally,
     default_envelope,
     envelope_rows,
-    exceptional_members,
     exceptional_scan,
+    pascal_distances,
     sequence_spec,
     smooth_bound_for,
 )
@@ -462,91 +462,66 @@ def _statement_vi_checks(
     cps: tuple[int, ...],
     pascal_check_limit: int,
 ) -> dict[float, list[CheckResult]]:
-    """Statement VI's checks for each eps.  The per-n Pascal counts of the
-    membership-agreement check are computed once for the whole grid, on
-    arrays of at most BLOCK integers; only the n whose count is not 2, the
-    only ones that can be members, are kept."""
+    """Statement VI's checks for each eps.  One walk of Pascal's triangle
+    to `limit` and one direct per-n count to `pascal_check_limit`, on arrays
+    of at most BLOCK integers, each give a table of the n whose count is not
+    2 and |N(n) - 2|; each eps takes its members from both as dist >= eps."""
     check_to = min(limit, pascal_check_limit)
     odd = [np.empty((2, 0), dtype=np.int64)]  # rows n and |N(n) - 2|
     for lo in range(2, check_to + 1, BLOCK):
         n = np.arange(lo, min(lo + BLOCK, check_to + 1), dtype=np.int64)
         dist = np.abs(pascal_counts(n) - 2)
         odd.append(np.stack([n, dist])[:, dist > 0])
-    n, dist = np.concatenate(odd, axis=1)
-    return {
-        eps: _statement_vi_eps_checks(eps, limit, cps, check_to, n[dist >= eps])
-        for eps in eps_grid
-    }
-
-
-def _statement_vi_eps_checks(
-    eps: float,
-    limit: int,
-    cps: tuple[int, ...],
-    check_to: int,
-    direct: np.ndarray,
-) -> list[CheckResult]:
-    pascal = sequence_spec("pascal_count")
-    members = np.concatenate(
-        [np.empty(0, dtype=np.int64), *exceptional_members(pascal, eps, limit)]
-    )
-    counts = np.searchsorted(members, np.asarray(cps), side="right")
-    rows = []
-    sup_ratio = 0.0
-    for x, c in zip(cps, counts):
-        r = float(c) / math.sqrt(x)
-        sup_ratio = max(sup_ratio, r)
-        rows.append({"x": int(x), "count": int(c), "sqrt_ratio": r})
-    checks = [
-        CheckResult(
-            name="sqrt-ratio",
-            passed=True,
-            blocking=False,
-            details=f"measured sup A(x)/sqrt(x) = {sup_ratio:.4f} over the checkpoints",
-            rows=tuple(rows),
-        )
-    ]
+    direct_n, direct_dist = np.concatenate(odd, axis=1)
+    walk_n, walk_dist = pascal_distances(limit)
     # membership evidence over a span with at least three decades
     vi_cap = min(limit, 100_000)
-    if vi_cap >= 50_000:
-        vi_cp = Checkpoints.geometric(vi_cap, start=50, factor=2)
-        vi_counts = [
-            int(np.searchsorted(members, x, side="right")) for x in vi_cp.values
+    out = {}
+    for eps in eps_grid:
+        members = walk_n[walk_dist >= eps]
+        rows = [
+            {"x": int(x), "count": int(c), "sqrt_ratio": float(c) / math.sqrt(x)}
+            for x, c in zip(cps, np.searchsorted(members, cps, side="right"))
         ]
-        checks.append(
-            _verdict_check(
-                "ideal-fit",
-                classify_rows(
-                    Ideal.AT_MOST,
-                    f"pascal_count eps={eps:g}",
-                    0.5,
-                    list(vi_cp.values),
-                    vi_counts,
-                ),
-            )
-        )
-    else:
-        checks.append(
+        sup_ratio = max((r["sqrt_ratio"] for r in rows), default=0.0)
+        checks = [
             CheckResult(
-                name="ideal-fit",
+                name="sqrt-ratio",
                 passed=True,
                 blocking=False,
-                details="skipped: range below three decades for a decay verdict",
+                details=f"measured sup A(x)/sqrt(x) = {sup_ratio:.4f} over the "
+                "checkpoints",
+                rows=tuple(rows),
             )
-        )
-    if check_to >= 2:
-        enum = members[members <= check_to]
-        same = np.array_equal(direct, enum)
-        wit = ""
-        if not same:
-            wit = f"; first disagreement at {np.setxor1d(direct, enum)[0]}"
-        checks.append(
-            CheckResult(
-                name="membership-agreement",
-                passed=same,
-                blocking=True,
-                details=f"enumerated members match the per-n count up to {check_to}"
-                + wit,
+        ]
+        if vi_cap >= 50_000:
+            vi_xs = list(Checkpoints.geometric(vi_cap, start=50, factor=2).values)
+            vi_counts = np.searchsorted(members, vi_xs, side="right").tolist()
+            label = f"pascal_count eps={eps:g}"
+            verdict = classify_rows(Ideal.AT_MOST, label, 0.5, vi_xs, vi_counts)
+            checks.append(_verdict_check("ideal-fit", verdict))
+        else:
+            checks.append(
+                CheckResult(
+                    name="ideal-fit",
+                    passed=True,
+                    blocking=False,
+                    details="skipped: range below three decades for a decay verdict",
+                )
             )
-        )
-    return checks
+        if check_to >= 2:
+            direct = direct_n[direct_dist >= eps]
+            enum = members[members <= check_to]
+            diff = np.setxor1d(direct, enum)
+            wit = f"; first disagreement at {diff[0]}" if len(diff) else ""
+            checks.append(
+                CheckResult(
+                    name="membership-agreement",
+                    passed=not len(diff),
+                    blocking=True,
+                    details=f"enumerated members match the per-n count up to {check_to}"
+                    + wit,
+                )
+            )
+        out[eps] = checks
+    return out

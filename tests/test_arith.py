@@ -2,6 +2,7 @@
 against independent oracles."""
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -23,6 +24,7 @@ from idealconv import (
 from idealconv.arith import pascal_counts
 from idealconv.bulk import _SEGMENT, BLOCK, PRIME_BOUND_CAP
 from idealconv.cli import main
+from idealconv.convergence import pascal_distances
 
 from oracles import (
     pascal_occurrences,
@@ -158,7 +160,10 @@ def test_factorize_one_is_empty():
 
 
 def test_exponent_statistics_at_one():
-    got = {name: fn(name, "1", "--p", "2")[1] for name in _FN_AT_ONE}
+    got = {
+        name: fn(name, "1", *(("--p", "2") if name == "ap" else ()))[1]
+        for name in _FN_AT_ONE
+    }
     assert got == _FN_AT_ONE
 
 
@@ -295,10 +300,33 @@ def test_pascal_count_singmaster_family(i, count):
 _PASCAL_COUNTS_TOP = math.comb(44, 22)
 
 
+@functools.cache
+def _occurrences_to_1e5() -> list[int]:
+    return [pascal_occurrences(n) for n in range(2, 10**5 + 1)]
+
+
 def test_pascal_counts_match_per_n_counts_to_1e5():
     got = pascal_counts(np.arange(2, 10**5 + 1, dtype=np.int64)).tolist()
     assert got == [pascal_count(n) for n in range(2, 10**5 + 1)]
-    assert got == [pascal_occurrences(n) for n in range(2, 10**5 + 1)]
+    assert got == _occurrences_to_1e5()
+
+
+def _distance_rows(counts: list[int]) -> list[tuple[int, int]]:
+    """(n, |N(n) - 2|) where that is not 0, from the counts of n = 2, 3, ..."""
+    return [(n, abs(c - 2)) for n, c in enumerate(counts, 2) if c != 2]
+
+
+# 3003 = C(78, 2) = C(15, 5) = C(14, 6) is the limit itself
+@pytest.mark.parametrize("limit", [1, 2, 3003, 10**5])
+def test_pascal_distances_is_the_table_of_counts_not_2(limit):
+    n, dist = pascal_distances(limit)
+    assert n.dtype == dist.dtype == np.int64
+    got = list(zip(n.tolist(), dist.tolist()))
+    counts = pascal_counts(np.arange(2, limit + 1, dtype=np.int64)).tolist()
+    assert got == _distance_rows(counts)
+    assert got == _distance_rows(_occurrences_to_1e5()[: limit - 1])
+    if limit == 3003:
+        assert got[-1] == (3003, 6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -375,13 +403,16 @@ def test_iroot_exact_powers():
 
 def test_iroot_past_float_precision():
     # the float root of these is off by far more than one step; past
-    # 2**1024 (r = 10**200) the seed is a power of two
+    # 2**1024 the seed comes from the float root of the top 1000 bits, and
+    # for k = 1500 and 3000 mostly from 2**((s % k) / k), s the bits below
     t0 = time.perf_counter()
-    for r in (2**53 + 1, 10**20, 10**40, 10**200):
-        for k in (3, 5, 7):
-            for x in (r**k - 1, r**k, r**k + 1):
-                got = iroot(x, k)
-                assert got**k <= x < (got + 1) ** k
+    cases = [(r, k) for r in (2**53 + 1, 10**20, 10**40, 10**200) for k in (3, 5, 7)]
+    cases += [(10**20, 64), (10**200, 64), (2, 1500), (3, 1500), (2**53 + 1, 1500)]
+    cases += [(3, 3000), (2**29 + 1, 3000)]
+    for r, k in cases:
+        for x in (r**k - 1, r**k, r**k + 1):
+            got = iroot(x, k)
+            assert got**k <= x < (got + 1) ** k
     assert time.perf_counter() - t0 < 1.0
 
 

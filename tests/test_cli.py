@@ -312,6 +312,27 @@ def test_aeps_requires_p_for_ap(capsys):
     assert code == 2 and "prime" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("fn", "omega", "12", "--p", "4"), "error: fn omega takes no prime parameter\n"),
+        (("fn", "N", "12", "--p", "3"), "error: fn N takes no prime parameter\n"),
+        (
+            ("aeps", "--seq", "h", "--p", "3", "--eps", "0.5", "--limit", "1000"),
+            "error: sequence 'min_exponent_over_log' takes no prime parameter\n",
+        ),
+        (
+            ("aeps", "--seq", "N", "--p", "2", "--eps", "0.5", "--limit", "1000"),
+            "error: sequence 'pascal_count' takes no prime parameter\n",
+        ),
+    ],
+    ids=["fn-omega", "fn-N", "aeps-h", "aeps-N"],
+)
+def test_p_refused_where_it_does_not_apply(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err == message
+
+
 def test_aeps_unknown_sequence(capsys):
     code, _, err = run(capsys, "aeps", "--seq", "zeta", "--eps", "0.5")
     assert code == 2 and "unknown sequence" in err
@@ -548,3 +569,12 @@ def test_out_writes_file(capsys, tmp_path):
     capsys.readouterr()
     doc = json.loads(path.read_text())
     assert [r["count"] for r in doc["records"]] == [3, 12, 40, 124]
+
+
+def test_failed_construct_leaves_out_file_alone(capsys, tmp_path):
+    path = tmp_path / "set.txt"
+    path.write_bytes(b"kept\n")
+    argv = ["construct", "--power", "0.0007", "--terms", "3000", "--out", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "long double range" in err
+    assert path.read_bytes() == b"kept\n"

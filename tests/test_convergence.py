@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -487,6 +488,30 @@ def test_vi_direct_counts_independent_of_chunk_size(monkeypatch):
     monkeypatch.setattr(suite_mod, "pascal_counts", off_at_3003)
     (agree,) = [c for c in suite_mod._statement_vi_checks(*args)[2.0] if "agree" in c.name]
     assert not agree.passed and agree.details.endswith("first disagreement at 3003")
+
+
+def test_statement_suite_walks_pascal_once(monkeypatch):
+    walks = []
+
+    def counted(limit):
+        walks.append(limit)
+        return convergence_mod.pascal_distances(limit)
+
+    monkeypatch.setattr(suite_mod, "pascal_distances", counted)
+    golden = pathlib.Path(__file__).parent / "golden" / "verify.json"
+    want = json.loads(golden.read_text())["records"]  # limit 10**5, eps 0.25, 0.5, 1
+    records = {}
+    for grid in ((0.25, 0.5, 1.0), (0.5, 2.0, 3.0)):
+        walks.clear()
+        rep = statement_suite(10**5, eps_grid=grid)
+        assert walks == [10**5]
+        records[grid] = json.loads(json.dumps(rep.to_records()))
+    assert records[(0.25, 0.5, 1.0)] == want
+    # each eps is checked on its own, whatever else the grid holds
+    at_half = [[r for r in recs if r["eps"] == 0.5] for recs in records.values()]
+    assert at_half[0] == at_half[1]
+    agree = [r for r in records[(0.5, 2.0, 3.0)] if r["check"] == "membership-agreement"]
+    assert len(agree) == 3 and all(r["passed"] for r in agree)
 
 
 def _per_member_trend_peaks(blocks) -> dict[int, float]:
