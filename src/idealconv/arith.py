@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-__all__ = ["pascal_count", "pascal_counts", "iroot", "is_prime"]
+__all__ = ["pascal_count", "pascal_counts", "iroot", "is_prime", "require_prime"]
 
 
 # The first 13 primes.  As Miller-Rabin bases they decide every m below
@@ -49,6 +49,13 @@ def is_prime(m: int) -> bool:
         else:
             return False
     return True
+
+
+def require_prime(p: int) -> None:
+    """InvalidArgumentError unless `is_prime(p)`: the one message for a prime
+    parameter that is not prime."""
+    if not is_prime(p):
+        raise InvalidArgumentError(f"p={p} is not prime")
 
 
 # ---------------------------------------------------------------------------
@@ -94,31 +101,45 @@ def pascal_count(n: int) -> int:
     return total
 
 
+# From n * 3! >= 86247**3 on, a float root one above the real one reads
+# R = 86248 in column 3, whose window's last product C(86251, 3) * 86252
+# reaches 2**63.  Every other column's products stay below 2**63 there.
+_COUNTS_CAP = 106_925_365_231_871  # ceil(86247**3 / 3!)
+
+
 def pascal_counts(n: np.ndarray) -> np.ndarray:
     """`pascal_count` of every entry of an int64 array, each n >= 2, as an
     int64 array.
 
     The method is `pascal_count`'s on arrays.  The k = 2 column is the int64
-    square root of 8n + 1, corrected by one either way.  In column k >= 3,
-    with C(2k, k) <= n, n * k! = r (r - 1) ... (r - k + 1) at a solution r,
-    so (r - k + 1)**k <= n * k! <= (r - (k - 1)/2)**k by AM-GM.  With
-    R = floor((n * k!)**(1/k)) taken in float64, which is within one of the
-    real root, every solution lies in [max(R - 1 + k // 2, 2k), R + k]: the
-    k + 2 - k // 2 candidates.  C(r, k) is an exact int64 product for the
-    first and is stepped as C(r + 1, k) = C(r, k) * (r + 1) / (r + 1 - k).
-    A central hit (r = 2k) counts once, any other hit twice.  Raises
-    InvalidArgumentError from n = C(44, 22) = 2104098963720 on, where
-    column 22 starts.
+    square root of 8n + 1, corrected by one either way.  Column k >= 3, with
+    C(2k, k) <= n, checks four rows r.  At a solution r >= 2k, put
+    m = r - (k - 1)/2; then n * k! = r (r - 1) ... (r - k + 1) is the product
+    of the m - t_j with t_j = j - (k - 1)/2, j < k, so sum t_j = 0 and
+    sum t_j**2 = k (k**2 - 1) / 12.  By AM-GM the real k-th root
+    rho = (n * k!)**(1/k) is at most m, and below it for k >= 2.  Pairing
+    the factors as (m - t)(m + t) = m**2 (1 - t**2/m**2), where
+    t**2/m**2 <= 1/9 as m >= (3k + 1)/2, and using log(1 - u) >= -2u for
+    u <= 1/2, gives k log(rho/m) >= -k (k**2 - 1) / (12 m**2), so
+    m - (k**2 - 1)/(12m) < rho < m.  The margin (k**2 - 1)/(12m) is at most
+    (k**2 - 1)/(6 (3k + 1)) <= 3/2 for k <= 27, and the columns below the
+    cap end at k = 24.  So r lies in (rho + (k - 1)/2, rho + (k - 1)/2 + 3/2),
+    which holds just the rows F + (k - 1)//2 + 1 and + 2, F = floor(rho).
+    The float64 root R is within one of F (its relative error is near 2**-52,
+    and rho < 2**17 below the cap), so the rows R + (k - 1)//2 + 0..3, raised
+    to 2k where below, hold every solution.  C(r, k) is an exact int64
+    product for the first row and is stepped as
+    C(r + 1, k) = C(r, k) * (r + 1) / (r + 1 - k).  A central hit (r = 2k)
+    counts once, any other hit twice.  Raises InvalidArgumentError from
+    n = 106925365231871 on, the first n at which a product could reach 2**63.
     """
     if len(n) and int(n.min()) < 2:
         raise InvalidArgumentError(f"pascal_count requires n >= 2, got {int(n.min())}")
     top = int(n.max()) if len(n) else 2
-    # a fixed cap, below which no column's product comes near 2**63
-    if top >= math.comb(44, 22):
+    if top >= _COUNTS_CAP:
         raise InvalidArgumentError(
-            f"array Pascal counts overflow int64 from n = C(44, 22), got {top}"
+            f"array Pascal counts could overflow int64 from n = {_COUNTS_CAP}, got {top}"
         )
-    columns = [k for k in range(3, 22) if math.comb(2 * k, k) <= top]
     total = np.where(n == 2, 1, 2)
     m = 8 * n + 1
     s = np.sqrt(m).astype(np.int64)
@@ -126,22 +147,24 @@ def pascal_counts(n: np.ndarray) -> np.ndarray:
     s += (s + 1) * (s + 1) <= m
     # n = C(r, 2) with r = (1 + s) / 2 >= 4, central at s = 7 (n = 6)
     total += ((s * s == m) & (s >= 7)) * np.where(s == 7, 1, 2)
-    for k in columns:
+    k = 3
+    while math.comb(2 * k, k) <= top:  # central binomials grow with k
         idx = np.flatnonzero(n >= math.comb(2 * k, k))
         v = n[idx]
         root = (v * float(math.factorial(k))) ** (1 / k)
-        r = np.maximum(root.astype(np.int64) - 1 + k // 2, 2 * k)
+        r = np.maximum(root.astype(np.int64) + (k - 1) // 2, 2 * k)
         c = r.copy()
         for j in range(1, k):
             c *= r - j
             c //= j + 1
-        for step in range(k + 2 - k // 2):
+        for step in range(4):
             if step:
                 c *= r + 1
                 c //= r + 1 - k
                 r += 1
             hit = c == v
             total[idx[hit]] += np.where(r[hit] == 2 * k, 1, 2)
+        k += 1
     return total
 
 

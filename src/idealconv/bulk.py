@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arith import iroot, is_prime
+from .arith import iroot, require_prime
 from .errors import InvalidArgumentError
 
 __all__ = ["BLOCK", "PRIME_BOUND_CAP", "BlockStats", "iter_blocks", "small_primes"]
@@ -177,8 +177,7 @@ def iter_blocks(
     if start < 2:
         raise InvalidArgumentError("bulk scans start at n >= 2")
     for p in ap_primes:
-        if not is_prime(p):
-            raise InvalidArgumentError(f"p={p} is not prime")
+        require_prime(p)
     if limit >= _LIMIT_CAP:
         raise InvalidArgumentError(f"bulk scans need limit < 2**63, got {limit}")
     if block_size < 1:

@@ -103,8 +103,7 @@ def sequence_spec(key: str, p: int | None = None) -> SequenceSpec:
     if needs_p:
         if p is None:
             raise InvalidArgumentError(f"sequence {key!r} requires a prime p")
-        if not arith.is_prime(p):
-            raise InvalidArgumentError(f"p must be prime, got {p}")
+        arith.require_prime(p)
     elif p is not None:
         raise InvalidArgumentError(f"sequence {key!r} takes no prime parameter")
     return SequenceSpec(key=key, limit_value=limit_value, start_n=start_n, p=p)

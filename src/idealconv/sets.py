@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .arith import iroot, is_prime
+from .arith import iroot, require_prime
 from .bulk import small_primes
 from .errors import DataFormatError, InsufficientDataError, InvalidArgumentError
 
@@ -352,8 +352,7 @@ def smooth_set(primes: Iterable[int]) -> IntegerSet:
     if not ps:
         raise InvalidArgumentError("smooth_set needs at least one prime")
     for p in ps:
-        if not is_prime(p):
-            raise InvalidArgumentError(f"smooth_set: {p} is not prime")
+        require_prime(p)
 
     def gen() -> Iterator[list[int]]:
         heap: list[tuple[int, int]] = [(1, 0)]

@@ -296,8 +296,16 @@ def test_pascal_count_singmaster_family(i, count):
 # Pascal counts on arrays
 # ---------------------------------------------------------------------------
 
-# the first n whose array count could overflow int64, in column 22
-_PASCAL_COUNTS_TOP = math.comb(44, 22)
+# the first n at which a product of the array counts could reach 2**63
+_PASCAL_COUNTS_TOP = 106_925_365_231_871
+
+
+def _window_peak(n: int, k: int) -> int:
+    """The largest product that column k of the array counts forms at n when
+    its float root reads one above the floor root: k * C(r0, k) as the first
+    row's binomial is built, C(r0 + 2, k) * (r0 + 3) at the last step."""
+    r0 = max(iroot(n * math.factorial(k), k) + 1 + (k - 1) // 2, 2 * k)
+    return max(k * math.comb(r0, k), math.comb(r0 + 2, k) * (r0 + 3))
 
 
 @functools.cache
@@ -343,8 +351,12 @@ def test_pascal_counts_on_windows_across_chunk_edges(chunk, shift, size):
 
 
 @settings(max_examples=60, deadline=None)
-@given(k=st.integers(3, 21), extra=st.integers(0, 10**6), shift=st.integers(-20, 0))
+@given(k=st.integers(3, 24), extra=st.integers(0, 10**6), shift=st.integers(-20, 0))
 @example(k=3, extra=0, shift=-19)  # C(6, 3) = 20: the window starts at n = 2
+# the hit one row into the window, as for most binomials, and the hit two
+# rows in, as for C(42, 20)
+@example(k=5, extra=7, shift=-20)
+@example(k=20, extra=2, shift=-20)
 def test_pascal_counts_on_windows_at_binomials(k, extra, shift):
     # every column up to the last one below the cap, at and beside its hits
     r = 2 * k + extra
@@ -358,11 +370,11 @@ def test_pascal_counts_on_windows_at_binomials(k, extra, shift):
 
 def test_pascal_counts_at_every_binomial_below_the_cap():
     # every C(r, k) and its two neighbours below the cap, for each column
-    # k >= 3 with r up to 2k + 3000: 22,219 values, each a hit or a near miss
+    # k >= 3 with r up to 2k + 3000: 28,339 values, each a hit or a near miss
     values = sorted(
         {
             math.comb(r, k) + d
-            for k in range(3, 22)
+            for k in range(3, 25)
             for r in range(2 * k, 2 * k + 3001)
             for d in (-1, 0, 1)
             if math.comb(r, k) + 1 < _PASCAL_COUNTS_TOP
@@ -373,10 +385,20 @@ def test_pascal_counts_at_every_binomial_below_the_cap():
 
 
 def test_pascal_counts_refuse_int64_overflow():
+    # the cap is the first n at which a product could reach 2**63; each
+    # column's peak rises with n, so checking top - 1 covers every n below
     top = _PASCAL_COUNTS_TOP
-    assert pascal_counts(np.array([2, top - 1])).tolist() == [1, pascal_count(top - 1)]
+    columns = [k for k in range(3, 40) if math.comb(2 * k, k) < top]
+    assert columns[-1] == 24  # the window's proof covers k <= 27
+    assert all(_window_peak(top - 1, k) < 2**63 for k in columns)
+    assert _window_peak(top, 3) >= 2**63
+    # C(86248, 3), the last binomial of column 3 below the cap, and its
+    # neighbours
+    last = math.comb(86248, 3)
+    ns = [2, last - 1, last, last + 1, top - 1]
+    assert pascal_counts(np.array(ns)).tolist() == [pascal_count(n) for n in ns]
     for bad in (top, 10**15, 2**62):
-        with pytest.raises(InvalidArgumentError, match="overflow"):
+        with pytest.raises(InvalidArgumentError, match=f"overflow int64 from n = {top}"):
             pascal_counts(np.array([2, bad]))
     with pytest.raises(InvalidArgumentError):
         pascal_counts(np.array([5, 1]))

@@ -365,6 +365,16 @@ def test_verify_single_statement(capsys):
     assert out.startswith("suite: PASS")
 
 
+def test_verify_vi_at_eps_3_and_4_passes(capsys):
+    # VI's verdict reads the suite's checkpoints to 10**7, beyond its members
+    # 120 ... 24310 at eps >= 3; VI alone runs no sieve
+    code, out, _ = run(
+        capsys, "verify", "--suite", "VI", "--eps", "3", "--eps", "4", "--limit", "10000000"
+    )
+    assert code == 0
+    assert out.startswith("suite: PASS")
+
+
 def test_verify_unknown_statement(capsys):
     code, _, err = run(capsys, "verify", "--suite", "IX", "--limit", "100000")
     assert code == 2 and "unknown statements" in err
@@ -482,6 +492,9 @@ def test_fn_ap_of_a_huge_prime(capsys):
             "prime sieve bound 2147483648 is above the cap 2**26 = 67108864",
         ),
         (("fn", "ap", "48", "--p", "4"), "p=4 is not prime"),
+        # sequence_spec and smooth_set give iter_blocks' message
+        (("aeps", "--seq", "ap", "--p", "4", "--eps", "0.5"), "p=4 is not prime"),
+        (("construct", "--smooth", "2,4", "--terms", "5"), "p=4 is not prime"),
         (
             ("aeps", "--seq", "ap", "--p", str(2**89 - 1), "--eps", "0.5"),
             "primality is decided below 3317044064679887385961981 only",
@@ -498,7 +511,8 @@ def test_fn_ap_of_a_huge_prime(capsys):
         ),
     ],
     ids=[
-        "fn-ap-2**70", "verify-eps-0.05", "fn-omega-2**62", "fn-ap-p4", "aeps-ap-2**89-1",
+        "fn-ap-2**70", "verify-eps-0.05", "fn-omega-2**62", "fn-ap-p4", "aeps-ap-p4",
+        "construct-smooth-4", "aeps-ap-2**89-1",
         "verify-eps-nan", "aeps-eps-nan", "classify-delta-nan", "verify-eps-repeated",
     ],
 )

@@ -426,6 +426,35 @@ def test_suite_subset_selection():
     assert names == {"envelope[power]", "ideal-fit"}  # set-equality needs V too
 
 
+def test_suite_vi_verdict_reads_the_suite_checkpoints():
+    # the members at eps >= 3 end at 24310 below 10**6, so the counts at the
+    # checkpoints to 10**6 decay against sqrt(x)
+    rep = statement_suite(10**6, eps_grid=(3.0, 4.0), statements=("VI",))
+    assert rep.passed
+    for res in rep.results:
+        checks = {c.name: c for c in res.checks}
+        sqrt_rows, fit_rows = checks["sqrt-ratio"].rows, checks["ideal-fit"].rows
+        assert [r["x"] for r in sqrt_rows] == list(rep.checkpoints.values)
+        # the verdict's rows repeat the checkpoint counts once per delta
+        assert [(r["x"], r["count"]) for r in fit_rows] == [
+            (r["x"], r["count"]) for r in sqrt_rows
+        ] * (len(fit_rows) // len(sqrt_rows))
+
+
+@pytest.mark.parametrize("limit", [10**4, 2 * 10**4])
+def test_suite_vi_verdict_skipped_on_short_ranges(limit):
+    rep = statement_suite(limit, statements=("VI",))
+    assert rep.passed
+    for res in rep.results:
+        (fit,) = [c for c in res.checks if c.name == "ideal-fit"]
+        assert fit == suite_mod.CheckResult(
+            name="ideal-fit",
+            passed=True,
+            blocking=False,
+            details="skipped: range below three decades for a decay verdict",
+        )
+
+
 def test_suite_validation():
     with pytest.raises(InvalidArgumentError):
         statement_suite(5_000)  # needs at least four decades

@@ -63,6 +63,12 @@ GOLDEN = {
         "verify", "--suite", "I", "--eps", "0.1", "--eps", "0.17", "--eps", "0.2",
         "--limit", "1000000", "--output", "json",
     ),
+    # statement VI's members at eps >= 3 end at 24310 below 10**7; its
+    # verdict reads the suite's checkpoints to the limit
+    "verify_VI_eps3_4_1e7.json": (
+        "verify", "--suite", "VI", "--eps", "3", "--eps", "4",
+        "--limit", "10000000", "--output", "json",
+    ),
     "aeps_ap_p3.csv": ("aeps", "--seq", "ap", "--p", "3", "--eps", "0.5", "--output", "csv"),
     "lambda_power_3_4.json": ("lambda", "--power", "3/4", "--terms", "100000", "--output", "json"),
     "lambda_power_0.25.json": ("lambda", "--power", "0.25", "--terms", "100000", "--output", "json"),
