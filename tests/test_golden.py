@@ -9,7 +9,9 @@ read, at commit 20cb003, the files at --limit 4000000 and near 10**9,
 written from the per-prime sieve sweep, at commit 29867fe, and the
 `verify --suite I` file, written from the per-bound smooth products, at
 commit 4690f5d, and the two classify files at q = 0.5 and 0.25, written from
-the `DecayPolicy` dataclass, at commit ad92edc, with
+the `DecayPolicy` dataclass, at commit ad92edc, and the `verify --suite VI`
+file at eps 3 and 4, written from VI's verdict on the suite's checkpoints,
+at commit 27dc90d, with
 
     PYTHONPATH=src python tests/test_golden.py [NAME...]
 
