@@ -296,9 +296,9 @@ def exceptional_members(
 
 def exceptional_set(spec: SequenceSpec, eps: float, limit: int) -> IntegerSet:
     """The exceptional set at tolerance eps, truncated to [2, limit]; each
-    sieve block's members are one chunk."""
+    sieve block's members are one int64 chunk."""
     return IntegerSet(
-        (block.tolist() for block in exceptional_members(spec, eps, limit)),
+        exceptional_members(spec, eps, limit),
         label=f"exceptional({spec.label},eps={eps:g})",
     )
 

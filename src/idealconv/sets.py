@@ -1,12 +1,13 @@
 """Lazy strictly-increasing integer sets and the constructions used throughout.
 
-An `IntegerSet` wraps a single-pass stream of chunks (lists of ints, most
-CHUNK long) behind a memoized prefix buffer, so counting and prefix queries
-never re-enumerate and the same set object can back several consumers
-(single-threaded).  Constructors build each chunk with array arithmetic
-where it is exact, and cover the floor-power families, the log-corrected
-power family, smooth numbers, the naturals and primes, plus union / scale /
-file input.
+An `IntegerSet` wraps a single-pass stream of chunks (most CHUNK long)
+behind a memoized prefix buffer, so counting and prefix queries never
+re-enumerate and the same set object can back several consumers
+(single-threaded).  A chunk is a list of ints or, where its values are
+exact in int64, an int64 array; the buffer is always a list of Python ints.
+Constructors build each chunk with array arithmetic where it is exact, and
+cover the floor-power families, the log-corrected power family, smooth
+numbers, the naturals and primes, plus union / scale / file input.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ __all__ = [
 # Elements per chunk that the constructors build at a time.
 CHUNK = 1 << 12
 
+# A source's chunk: a list of ints, or an int64 array of values below 2**63.
+Chunk = list[int] | np.ndarray
+
 
 def _first_disorder(values: list[int], last: int) -> int:
     """Index of the first value not above its predecessor (`last` before
@@ -57,14 +61,16 @@ def _first_disorder(values: list[int], last: int) -> int:
 class IntegerSet:
     """A strictly increasing stream of positive integers with memoized prefix.
 
-    The source yields chunks: lists of ints, each continuing the last.  A
-    chunk is pulled exactly once, checked for strict increase in one pass
-    and appended to the buffer; every query (count, prefix, iteration)
-    replays the buffer first, so a buggy construction fails fast.
+    The source yields chunks, each continuing the last: lists of ints, or
+    int64 arrays where the values fit.  A chunk is pulled exactly once,
+    checked for strict increase in one pass (vectorised for an array) and
+    appended to the buffer, a list of Python ints; every query (count,
+    prefix, iteration) replays the buffer first, so a buggy construction
+    fails fast.
     """
 
-    def __init__(self, source: Iterable[list[int]], label: str = "set"):
-        self._it: Iterator[list[int]] | None = iter(source)
+    def __init__(self, source: Iterable[Chunk], label: str = "set"):
+        self._it: Iterator[Chunk] | None = iter(source)
         self._buf: list[int] = []
         self.label = label
 
@@ -75,12 +81,18 @@ class IntegerSet:
         if self._it is None:
             return False
         for chunk in self._it:
-            if chunk:
+            if len(chunk):
                 break
         else:
             self._it = None
             return False
-        i = _first_disorder(chunk, self._buf[-1] if self._buf else 0)
+        last = self._buf[-1] if self._buf else 0
+        if isinstance(chunk, np.ndarray):
+            if int(chunk[0]) > last and (chunk[1:] > chunk[:-1]).all():
+                self._buf += chunk.tolist()
+                return True
+            chunk = chunk.tolist()  # to name the first bad position
+        i = _first_disorder(chunk, last)
         if i >= 0:
             raise DataFormatError(
                 f"{self.label}: stream not strictly increasing at position "
@@ -219,12 +231,12 @@ def power_set(s: float | Fraction) -> IntegerSet:
     return IntegerSet(src, label=f"power({sf:g})")
 
 
-def _power_chunks(den: int) -> Iterator[list[int]]:
-    """n**den for n >= 1, by chunks; in int64 while the values fit."""
+def _power_chunks(den: int) -> Iterator[Chunk]:
+    """n**den for n >= 1, by chunks; int64 arrays while the values fit."""
     for lo in itertools.count(1, CHUNK):
         hi = lo + CHUNK
         if (hi - 1) ** den < 2**63:
-            yield (np.arange(lo, hi, dtype=np.int64) ** den).tolist()
+            yield np.arange(lo, hi, dtype=np.int64) ** den
         else:
             yield [n**den for n in range(lo, hi)]
 
@@ -234,8 +246,9 @@ def _power_chunks(den: int) -> Iterator[list[int]]:
 _LOG_FLOAT_EXACT = 52 * math.log(2)
 
 
-def _root_chunks(num: int, den: int) -> Iterator[list[int]]:
-    """floor(n ** (den/num)) for n >= 1 and num > 1, exactly, by chunks."""
+def _root_chunks(num: int, den: int) -> Iterator[Chunk]:
+    """floor(n ** (den/num)) for n >= 1 and num > 1, exactly, by chunks:
+    int64 arrays below 2**52, lists past it."""
     e = den / num
     for lo in itertools.count(1, CHUNK):
         hi = lo + CHUNK
@@ -245,7 +258,7 @@ def _root_chunks(num: int, den: int) -> Iterator[list[int]]:
             # only a floor within 1e-14 * v of an integer can be off; past
             # about 5e13 that is every floor
             near = np.flatnonzero(np.minimum(v - f, f + 1 - v) < 1e-14 * v)
-            out = f.astype(np.int64).tolist()
+            out = f.astype(np.int64)
             for i in near.tolist():
                 out[i] = iroot((lo + i) ** den, num)
         else:
@@ -253,12 +266,13 @@ def _root_chunks(num: int, den: int) -> Iterator[list[int]]:
         yield out
 
 
-def _ints(f: np.ndarray) -> list[int]:
-    """Python ints of a nondecreasing array of integral floats, one by one
-    once the last reaches 2**63, where an int64 cast would overflow."""
-    if f.size and f[-1] >= 2.0**63:
-        return [int(x) for x in f]
-    return f.astype(np.int64).tolist()
+def _ints(f: np.ndarray, plus: int = 0) -> Chunk:
+    """A nondecreasing array of integral floats, each plus `plus`, as an
+    int64 array, or as Python ints one by one once the last sum reaches
+    2**63, where int64 would overflow."""
+    if f.size and f[-1] + plus >= 2.0**63:
+        return [int(x) + plus for x in f]
+    return f.astype(np.int64) + plus
 
 
 def _finite_head(f: np.ndarray) -> np.ndarray:
@@ -270,7 +284,7 @@ def _overflow(label: str, n: int) -> InvalidArgumentError:
     return InvalidArgumentError(f"{label}: term {n} exceeds the long double range")
 
 
-def _float_power_chunks(sf: float, label: str) -> Iterator[list[int]]:
+def _float_power_chunks(sf: float, label: str) -> Iterator[Chunk]:
     """floor(n ** (1/sf)) in long double, corrected down where float64 logs
     say the floor is too high, by chunks; raises once a term overflows."""
     inv = np.longdouble(sf)
@@ -285,7 +299,7 @@ def _float_power_chunks(sf: float, label: str) -> Iterator[list[int]]:
         high = (sf * np.log(f).astype(np.float64) > ln_n) & (f < 2.0**64)
         for i in np.flatnonzero(high).tolist():
             x = ln_n[i]
-            a = _last_false(out[i], lambda m: sf * float(np.log(np.longdouble(m))) > x)
+            a = _last_false(int(out[i]), lambda m: sf * float(np.log(np.longdouble(m))) > x)
             out[i] = max(a, 1)
         yield out
         if f.size < CHUNK:
@@ -327,14 +341,14 @@ def logpower_set(q: float) -> IntegerSet:
 
     label = f"logpower({q:g})"
 
-    def gen() -> Iterator[list[int]]:
+    def gen() -> Iterator[Chunk]:
         qd = np.longdouble(q)
         for lo in itertools.count(1, CHUNK):
             nd = np.arange(lo, lo + CHUNK, dtype=np.longdouble)
             with np.errstate(over="ignore"):
                 v = np.exp(np.log(nd) / qd + (2 / qd) * np.log(np.log(nd + 1)))
             f = _finite_head(np.floor(v))
-            yield [a + 1 for a in _ints(f)]
+            yield _ints(f, plus=1)
             if f.size < CHUNK:
                 raise _overflow(label, lo + f.size)
 
@@ -371,7 +385,7 @@ def smooth_set(primes: Iterable[int]) -> IntegerSet:
 
 def naturals() -> IntegerSet:
     return IntegerSet(
-        (list(range(lo, lo + CHUNK)) for lo in itertools.count(1, CHUNK)),
+        (np.arange(lo, lo + CHUNK, dtype=np.int64) for lo in itertools.count(1, CHUNK)),
         label="naturals",
     )
 
@@ -382,12 +396,12 @@ def primes_set() -> IntegerSet:
     holds every prime below the sieve's cap 2**26 and raises
     InvalidArgumentError when pulled past them."""
 
-    def gen() -> Iterator[list[int]]:
+    def gen() -> Iterator[np.ndarray]:
         lo, hi = 2, 1 << 16
         while True:
             found = small_primes(hi - 1, start=lo)
             for i in range(0, len(found), CHUNK):
-                yield found[i : i + CHUNK].tolist()
+                yield found[i : i + CHUNK]
             lo, hi = hi, hi + min(hi, 1 << 20)
 
     return IntegerSet(gen(), label="primes")
@@ -420,12 +434,19 @@ def union(a: IntegerSet, b: IntegerSet) -> IntegerSet:
 
 
 def scale(a: IntegerSet, k: int) -> IntegerSet:
-    """The set {k * a : a in A} for an integer k >= 1."""
+    """The set {k * a : a in A} for an integer k >= 1; a chunk is scaled in
+    int64 while its last product stays below 2**63."""
     if k < 1:
         raise InvalidArgumentError(f"scale factor must be >= 1, got {k}")
-    return IntegerSet(
-        ([k * v for v in chunk] for chunk in a.chunks()), label=f"scale({a.label},{k})"
-    )
+
+    def gen() -> Iterator[Chunk]:
+        for chunk in a.chunks():
+            if k * chunk[-1] < 2**63:
+                yield np.array(chunk, dtype=np.int64) * k
+            else:
+                yield [k * v for v in chunk]
+
+    return IntegerSet(gen(), label=f"scale({a.label},{k})")
 
 
 def from_iterable(values: Iterable[int], label: str = "explicit") -> IntegerSet:

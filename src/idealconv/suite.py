@@ -189,12 +189,11 @@ class _TrendTally(Tally):
         if self.total < 100:
             return None
         b_hi = math.log2(self.total) * _TREND_SUB
-        cur = [v for b, v in self.peaks.items() if b_hi - _TREND_SUB * math.log2(10) <= b]
-        prev = [
-            v
-            for b, v in self.peaks.items()
-            if b_hi - 2 * _TREND_SUB * math.log2(10) <= b < b_hi - _TREND_SUB * math.log2(10)
-        ]
+        # the final decade's buckets start at b_cur, the one before's at b_prev
+        b_cur = b_hi - _TREND_SUB * math.log2(10)
+        b_prev = b_hi - 2 * _TREND_SUB * math.log2(10)
+        cur = [v for b, v in self.peaks.items() if b_cur <= b]
+        prev = [v for b, v in self.peaks.items() if b_prev <= b < b_cur]
         if not cur or not prev:
             return None
         return max(cur) - max(prev)

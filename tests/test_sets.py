@@ -356,17 +356,69 @@ def test_stream_validation():
         from_iterable([0]).prefix(1)
 
 
-def test_order_break_inside_a_chunk_names_its_position():
-    a = IntegerSet([[1, 2, 3], [5, 8, 8, 9]], label="broken")
+def int64_chunks(chunks):
+    return [np.array(c, dtype=np.int64) for c in chunks]
+
+
+CHUNK_KINDS = pytest.mark.parametrize("kind", [list, int64_chunks], ids=["list", "int64"])
+
+
+@CHUNK_KINDS
+def test_order_break_inside_a_chunk_names_its_position(kind):
+    a = IntegerSet(kind([[1, 2, 3], [5, 8, 8, 9]]), label="broken")
     assert a.prefix(3) == [1, 2, 3]
     with pytest.raises(DataFormatError, match=r"broken: .* at position 6 \(got 8\)"):
         a.prefix(4)
 
 
-def test_order_break_across_chunks_names_its_position():
-    a = IntegerSet([[], [4, 6], [], [6, 7]], label="broken")
+@CHUNK_KINDS
+def test_order_break_across_chunks_names_its_position(kind):
+    a = IntegerSet(kind([[], [4, 6], [], [6, 7]]), label="broken")
     with pytest.raises(DataFormatError, match=r"at position 3 \(got 6\)"):
         a.count(10)
+
+
+def test_order_break_at_an_int64_chunk_boundary_names_its_position():
+    a = IntegerSet([[1, 5, 9], np.array([9, 10], dtype=np.int64)], label="broken")
+    with pytest.raises(DataFormatError, match=r"at position 4 \(got 9\)"):
+        a.prefix(4)
+    b = IntegerSet([[3], np.array([2, 4], dtype=np.int64)], label="broken")
+    with pytest.raises(DataFormatError, match=r"at position 2 \(got 2\)"):
+        b.prefix(2)
+
+
+@pytest.mark.parametrize(
+    "make, terms",
+    [
+        (lambda: power_set(Fraction(1, 3)), 3 * CHUNK),
+        (lambda: power_set(Fraction(2, 3)), 3 * CHUNK),
+        (lambda: power_set(Fraction(3, 4)), 3 * CHUNK),
+        # n**4 passes 2**63 in the chunk that starts at n = 53249
+        (lambda: power_set(Fraction(1, 4)), 53248 + CHUNK + 1),
+        (primes_set, 3 * CHUNK),
+        (naturals, 3 * CHUNK),
+        (lambda: scale(power_set(Fraction(2, 3)), 7), 3 * CHUNK),
+        (lambda: power_set(0.3), 2 * CHUNK),
+        (lambda: logpower_set(0.5), 2 * CHUNK),
+    ],
+    ids=["power1/3", "power2/3", "power3/4", "power1/4", "primes", "naturals", "scale",
+         "power0.3", "logpower0.5"],
+)
+def test_buffer_holds_python_ints(make, terms):
+    head = make().prefix(terms)
+    assert all(type(x) is int for x in head)
+
+
+def test_power_quarter_switches_to_python_ints_exactly():
+    head = power_set(Fraction(1, 4)).prefix(53248 + 2)
+    assert head[53246:] == [53247**4, 53248**4, 53249**4, 53250**4]
+
+
+def test_scale_past_two_to_the_63_does_not_wrap():
+    k = 2**40
+    assert scale(power_set(Fraction(1, 3)), k).prefix(300_000) == [
+        k * n**3 for n in range(1, 300_001)
+    ]
 
 
 def test_write_and_read_back(tmp_path):
