@@ -364,6 +364,14 @@ def _cmd_aeps(args) -> int:
     if args.limit >= 2**63:
         raise InvalidArgumentError(f"aeps needs --limit < 2**63, got {args.limit}")
     if args.remark:
+        # the limsup rows are taken at k = 1, 2, 4, ..., with no envelope
+        for flag in ("checkpoints", "envelope"):
+            if getattr(args, flag) is not None:
+                raise InvalidArgumentError(f"aeps --remark takes no --{flag}")
+        if args.limit < 2:
+            raise InvalidArgumentError(
+                f"aeps --remark needs --limit >= 2, got {args.limit}"
+            )
         report = remark_limsup(spec, args.eps, args.limit)
         head = [
             f"limsup rows for {spec.label}, eps={args.eps:g}, "
@@ -397,7 +405,7 @@ def _cmd_aeps(args) -> int:
             f"Pascal count scans support --limit <= {PASCAL_LIMIT_CAP}, "
             f"got {args.limit}"
         )
-    envelope = None if args.envelope == "none" else args.envelope
+    envelope = None if args.envelope == "none" else args.envelope or "auto"
     report = count_report(spec, args.eps, cp, envelope=envelope)
     ok = report.envelope_ok
     head = [
@@ -530,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", help="START:CAP:FACTOR or comma list")
     p.add_argument(
         "--envelope",
-        default="auto",
         help="auto (default), none, or an envelope kind",
     )
     p.add_argument(

@@ -138,34 +138,31 @@ class SuiteReport:
         return records
 
 
-def _trend_bucket(ks: np.ndarray) -> np.ndarray:
-    """The trend bucket floor(log2(k) * _TREND_SUB) of each k, given as a
-    float64 array."""
-    return np.floor(np.log2(ks) * _TREND_SUB).astype(np.int64)
-
-
-def _bucket_starts(k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
-    """The trend buckets that hold a k in [k0, k1], and the first such k of
-    each.  The bucket formula rises with k, so bucket b starts at the first
-    k whose bucket is b or more; that k is within one of 2**(b / _TREND_SUB),
-    so the formula is evaluated at three integers there, not at every k.
-    Below k = 93 some buckets hold no integer: such a bucket has the same
-    first k as the next one, and is skipped."""
-    b0, b1 = _trend_bucket(np.array([k0, k1], dtype=np.float64)).tolist()
-    bs = np.arange(b0 + 1, b1 + 1)
+def _bucket_table() -> tuple[np.ndarray, np.ndarray]:
+    """Each trend bucket floor(log2(k) * _TREND_SUB), in float64, that holds
+    a k in [1, 2**62], and its first k.  The formula rises with k, and bucket
+    b starts within one of 2**(b / _TREND_SUB), so it is evaluated at three
+    integers there.  Below k = 93 some buckets hold no integer and are left
+    out.  Each first k is exact below 2**48, where float64 log2 still tells
+    neighbouring k apart."""
+    bs = np.arange(1, 62 * _TREND_SUB + 1)
     c = np.ceil(np.exp2(bs / _TREND_SUB)).astype(np.int64)
     near = (c[:, None] + np.arange(-1, 2)).astype(np.float64)
-    first = c - 1 + (_trend_bucket(near) < bs[:, None]).sum(axis=1)
-    held = first < np.append(first[1:], k1 + 1)
-    return np.r_[b0, bs[held]], np.r_[k0, first[held]]
+    first = c - 1 + (np.floor(np.log2(near) * _TREND_SUB) < bs[:, None]).sum(axis=1)
+    held = first < np.append(first[1:], 2**62 + 1)
+    return np.r_[0, bs[held]], np.r_[1, first[held]]
+
+
+_BUCKETS, _FIRSTS = _bucket_table()
 
 
 @dataclass
 class _TrendTally(Tally):
     """A tally that also keeps the peak of log k / log n_k in each geometric
-    k-bucket, for the decade peak step that statements VII and VIII report."""
+    k-bucket, for the decade peak step that statements VII and VIII report.
+    `peaks[i]` is the peak of bucket `_BUCKETS[i]`, -1 while it is empty."""
 
-    peaks: dict[int, float] = field(default_factory=dict)
+    peaks: np.ndarray = field(default_factory=lambda: np.full(len(_BUCKETS), -1.0))
 
     def absorb(self, members: np.ndarray, upto: int, ln_members: np.ndarray) -> None:
         """`Tally.absorb`, given also the members' logs, which the block has."""
@@ -173,11 +170,11 @@ class _TrendTally(Tally):
         if m:
             k0 = self.total + 1
             ratios = np.log(np.arange(k0, k0 + m, dtype=np.float64)) / ln_members
-            buckets, firsts = _bucket_starts(k0, k0 + m - 1)
-            peaks = np.maximum.reduceat(ratios, firsts - k0)
-            for b, r in zip(buckets.tolist(), peaks.tolist()):
-                if r > self.peaks.get(b, -1.0):
-                    self.peaks[b] = r
+            # the buckets of k0 .. k0 + m - 1; the first may start before k0
+            i0, i1 = np.searchsorted(_FIRSTS, [k0, k0 + m - 1], side="right")
+            starts = np.maximum(_FIRSTS[i0 - 1 : i1] - k0, 0)
+            held = self.peaks[i0 - 1 : i1]
+            np.maximum(held, np.maximum.reduceat(ratios, starts), out=held)
         super().absorb(members, upto)
 
     def peak_step(self) -> float | None:
@@ -192,18 +189,14 @@ class _TrendTally(Tally):
         # the final decade's buckets start at b_cur, the one before's at b_prev
         b_cur = b_hi - _TREND_SUB * math.log2(10)
         b_prev = b_hi - 2 * _TREND_SUB * math.log2(10)
-        cur = [v for b, v in self.peaks.items() if b_cur <= b]
-        prev = [v for b, v in self.peaks.items() if b_prev <= b < b_cur]
-        if not cur or not prev:
-            return None
-        return max(cur) - max(prev)
+        # each decade holds a member: k = total, and the k in [total/100, total/10)
+        cur = self.peaks[b_cur <= _BUCKETS].max()
+        prev = self.peaks[(b_prev <= _BUCKETS) & (_BUCKETS < b_cur)].max()
+        return float(cur - prev)
 
 
 def _count_bound(x: int, primes: list[int]) -> float:
-    b = 1.0
-    for p in primes:
-        b *= math.log(x) / math.log(p) + 1
-    return b
+    return math.prod(math.log(x) / math.log(p) + 1 for p in primes)
 
 
 def _verdict_check(name: str, verdict_obj) -> CheckResult:
@@ -225,7 +218,8 @@ def _envelope_check(
 ) -> CheckResult:
     rows = envelope_rows(default_envelope(spec), eps, spec.p, cps, counts)
     rows = [r for r in rows if r.envelope is not None]
-    worst = max((r.ratio for r in rows), default=0.0)
+    # an envelope that underflows to 0.0 has no ratio
+    worst = max((r.ratio for r in rows if r.ratio is not None), default=0.0)
     return CheckResult(
         name=f"envelope[{label.format(p=spec.p)}]",
         passed=all(r.ok for r in rows),
@@ -308,10 +302,7 @@ def statement_suite(
         for sid in stmts
         if sid in _SCAN
     }
-    smooth_bounds: dict[float, int | None] = {}
-    if "I" in stmts:
-        for eps in eps_grid:
-            smooth_bounds[eps] = smooth_bound_for(eps)
+    smooth_bounds = {eps: smooth_bound_for(eps) for eps in eps_grid if "I" in stmts}
     bounds = tuple(sorted({b for b in smooth_bounds.values() if b is not None}))
 
     # one tally per (sequence, eps) and one per smooth bound
@@ -433,18 +424,16 @@ def _statement_i_checks(
     ]
     if b is not None:
         primes = small_primes(b).tolist()
-        rows = []
-        all_ok = True
         # +1 counts n = 1, smooth by convention
-        for x, c in zip(xs, smooth[b].counts):
-            bound = _count_bound(x, primes)
-            good = c + 1 <= bound
-            all_ok = all_ok and good
-            rows.append({"x": x, "smooth_count": c + 1, "bound": bound, "ok": good})
+        caps = (_count_bound(x, primes) for x in xs)
+        rows = [
+            {"x": x, "smooth_count": c + 1, "bound": cap, "ok": c + 1 <= cap}
+            for x, c, cap in zip(xs, smooth[b].counts, caps)
+        ]
         checks.append(
             CheckResult(
                 name="count-bound",
-                passed=all_ok,
+                passed=all(r["ok"] for r in rows),
                 blocking=True,
                 details=f"smooth counts under prod(log x/log p + 1) for primes <= {b}",
                 rows=tuple(rows),

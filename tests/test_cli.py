@@ -333,6 +333,20 @@ def test_p_refused_where_it_does_not_apply(capsys, argv, message):
     assert code == 2 and out == "" and err == message
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--checkpoints", "10,100"), "error: aeps --remark takes no --checkpoints\n"),
+        (("--envelope", "auto"), "error: aeps --remark takes no --envelope\n"),
+        (("--limit", "-5"), "error: aeps --remark needs --limit >= 2, got -5\n"),
+    ],
+    ids=["checkpoints", "envelope", "limit"],
+)
+def test_remark_refuses_what_it_cannot_use(capsys, argv, message):
+    code, out, err = run(capsys, "aeps", "--seq", "omega", "--eps", "0.5", "--remark", *argv)
+    assert code == 2 and out == "" and err == message
+
+
 def test_aeps_unknown_sequence(capsys):
     code, _, err = run(capsys, "aeps", "--seq", "zeta", "--eps", "0.5")
     assert code == 2 and "unknown sequence" in err
@@ -373,6 +387,21 @@ def test_verify_vi_at_eps_3_and_4_passes(capsys):
     )
     assert code == 0
     assert out.startswith("suite: PASS")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "II", "--eps", "2000"),
+        ("--suite", "III", "--eps", "2000"),
+        ("--eps", "inf"),
+    ],
+    ids=["II", "III", "inf"],
+)
+def test_verify_passes_where_the_envelope_underflows(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv, "--limit", "100000")
+    assert code == 0 and err == ""
+    assert out.startswith("suite: PASS") and "; max ratio 0\n" in out
 
 
 def test_verify_unknown_statement(capsys):

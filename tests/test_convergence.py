@@ -426,6 +426,18 @@ def test_suite_subset_selection():
     assert names == {"envelope[power]", "ideal-fit"}  # set-equality needs V too
 
 
+def test_suite_envelope_underflow_has_no_ratio():
+    # at eps = 2000 the II and III envelopes underflow to 0.0 at every
+    # checkpoint: the empty sets meet them, and no ratio is defined
+    rep = statement_suite(10**5, eps_grid=(2000.0,), statements=("II", "III"))
+    assert rep.passed
+    envs = [c for r in rep.results for c in r.checks if c.name.startswith("envelope")]
+    assert len(envs) == 3
+    for chk in envs:
+        assert chk.passed and chk.details.endswith("; max ratio 0")
+        assert all(r["envelope"] == 0.0 and r["count"] == 0 for r in chk.rows)
+
+
 def test_suite_vi_verdict_reads_the_suite_checkpoints():
     # the members at eps >= 3 end at 24310 below 10**6, so the counts at the
     # checkpoints to 10**6 decay against sqrt(x)
@@ -566,17 +578,26 @@ def test_bucket_starts_equal_per_member_buckets_to_2e6():
     top = 2 * 10**6
     buckets = np.floor(np.log2(np.arange(1, top + 1.0)) * suite_mod._TREND_SUB)
     firsts = np.flatnonzero(np.r_[True, buckets[1:] != buckets[:-1]])
-    got_b, got_k = suite_mod._bucket_starts(1, top)
-    assert got_b.tolist() == buckets[firsts].tolist()
-    assert got_k.tolist() == (firsts + 1).tolist()
-    # windows that start inside a bucket, in the sparse buckets below 93 too
-    rng = np.random.default_rng(13)
-    for k0 in [1, 2, 3, 50, 92, 93, *rng.integers(1, top, 200).tolist()]:
-        k1 = min(top, k0 + int(rng.integers(0, 300_000)))
-        inside = firsts[(k0 <= firsts + 1) & (firsts + 1 <= k1)]
-        got_b, got_k = suite_mod._bucket_starts(k0, k1)
-        assert got_k.tolist() == [k0, *(inside + 1)[inside + 1 > k0].tolist()], k0
-        assert got_b.tolist() == buckets[got_k - 1].tolist(), k0
+    below = suite_mod._FIRSTS <= top
+    assert suite_mod._BUCKETS[below].tolist() == buckets[firsts].tolist()
+    assert suite_mod._FIRSTS[below].tolist() == (firsts + 1).tolist()
+    # the table's end: the bucket of 2**62, every first k inside its bucket,
+    # and the k just below a first k in an earlier bucket while k < 2**48
+    b, k = suite_mod._BUCKETS, suite_mod._FIRSTS
+    assert b[-1] == 62 * suite_mod._TREND_SUB and k[-1] < 2**62
+    assert (np.diff(b) > 0).all() and (np.diff(k) > 0).all()
+
+    def bucket(ks):
+        return np.floor(np.log2(ks.astype(np.float64)) * suite_mod._TREND_SUB)
+
+    assert (bucket(k) == b).all()
+    exact = k < 2**48
+    assert exact.sum() > 2700 and (bucket(k[exact][1:] - 1) < b[exact][1:]).all()
+
+
+def _held_peaks(tally) -> dict[int, float]:
+    held = tally.peaks >= 0
+    return dict(zip(suite_mod._BUCKETS[held].tolist(), tally.peaks[held].tolist()))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -584,15 +605,54 @@ def test_trend_peaks_equal_per_member_buckets(seed):
     rng = np.random.default_rng(seed)
     limit = int(rng.integers(10**3, 10**6))
     members = np.flatnonzero(rng.random(limit) < rng.uniform(0.01, 0.95)) + 3
-    edges = np.sort(rng.integers(0, len(members) + 1, int(rng.integers(0, 40))))
+    edges = rng.integers(0, len(members) + 1, int(rng.integers(0, 40))).tolist()
+    # the member at index i has k = i + 1.  k = 1 alone; a one-member block
+    # at a bucket's first k f, then a block from f + 1; a one-member block
+    # one past another first k g, in the sparse buckets below 93 for even seeds
+    firsts = suite_mod._FIRSTS[suite_mod._FIRSTS < len(members)]
+    f = int(rng.choice(firsts[firsts > 93]))
+    g = int(rng.choice(firsts[firsts <= 93] if seed % 2 == 0 else firsts))
+    edges = sorted([*edges, 1, f - 1, f, g, g + 1])
     blocks = [(b, np.log(b.astype(np.float64))) for b in np.split(members, edges)]
+    assert [len(b) for b, _ in blocks].count(1) >= 3
     tally = suite_mod._TrendTally()
     upto = 3
     for block, ln_block in blocks:
         upto = int(block[-1]) + 1 if len(block) else upto
         tally.absorb(block, upto, ln_block)
     assert tally.total == len(members)
-    assert tally.peaks == _per_member_trend_peaks(blocks)
+    assert _held_peaks(tally) == _per_member_trend_peaks(blocks)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 129, 257])
+def test_peak_step_equals_per_member_decade_maxima(seed):
+    rng = np.random.default_rng(100 + seed)
+    limit = int(rng.integers(10**4, 2 * 10**6))
+    members = np.flatnonzero(rng.random(limit) < rng.uniform(0.01, 0.95)) + 3
+    if seed > 3:
+        # n_k = k + 1 up to k = seed, then n_k = k**2: a decade's peak sits
+        # in its lowest bucket, 448 (k = 128, 129) or 512 (k = 256, 257)
+        members = np.r_[2 : seed + 2, np.arange(seed + 1, 30_000) ** 2]
+    # at these totals a decade's bound is a whole bucket: b_cur = 448 at 1280
+    # members, b_prev = 512 at 25600
+    totals = [t for t in (99, 100, 160, 1280, 25600) if t < len(members)]
+    for total in [*totals, len(members)]:
+        head = members[:total]
+        tally = suite_mod._TrendTally()
+        for block in np.split(head, np.sort(rng.integers(0, total + 1, 30))):
+            tally.absorb(block, int(head[-1]) + 1, np.log(block.astype(np.float64)))
+        if total < 100:  # under two decades there is no step
+            assert tally.peak_step() is None
+            continue
+        ks = np.arange(1, total + 1, dtype=np.float64)
+        ratios = np.log(ks) / np.log(head.astype(np.float64))
+        buckets = np.floor(np.log2(ks) * suite_mod._TREND_SUB)
+        b_hi = math.log2(total) * suite_mod._TREND_SUB
+        b_cur = b_hi - suite_mod._TREND_SUB * math.log2(10)
+        b_prev = b_hi - 2 * suite_mod._TREND_SUB * math.log2(10)
+        cur = ratios[b_cur <= buckets].max()
+        prev = ratios[(b_prev <= buckets) & (buckets < b_cur)].max()
+        assert tally.peak_step() == cur - prev, total
 
 
 def test_suite_records_independent_of_block_size(monkeypatch):

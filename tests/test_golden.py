@@ -1,8 +1,9 @@
 """CLI output pinned byte for byte against committed golden files.
 
 Each file under tests/golden/ is the stdout of `idealconv` for one argument
-list in GOLDEN.  The verify and aeps files were written at commit 7a92f98,
-the lambda, construct and classify files at commit 4330b07, the files
+list in GOLDEN, or the text that a function in GOLDEN returns.  The verify
+and aeps files were written at commit 7a92f98, the lambda, construct and
+classify files at commit 4330b07, the files
 at --limit 1000000, which span several sieve blocks, at commit bfba96a, and
 the fn files, written from the smallest-prime-factor table that `fn` then
 read, at commit 20cb003, the files at --limit 4000000 and near 10**9,
@@ -11,7 +12,9 @@ written from the per-prime sieve sweep, at commit 29867fe, and the
 commit 4690f5d, and the two classify files at q = 0.5 and 0.25, written from
 the `DecayPolicy` dataclass, at commit ad92edc, and the `verify --suite VI`
 file at eps 3 and 4, written from VI's verdict on the suite's checkpoints,
-at commit 27dc90d, with
+at commit 27dc90d, and `suite_rows_1e5.json`, the suite's records at 10**5
+with the rows of each check, written from the per-window trend bucket
+starts, at commit ae25cb4, with
 
     PYTHONPATH=src python tests/test_golden.py [NAME...]
 
@@ -23,11 +26,13 @@ in CHANGES.md.
 
 import contextlib
 import io
+import json
 import pathlib
 import sys
 
 import pytest
 
+from idealconv import statement_suite
 from idealconv.cli import main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -46,8 +51,16 @@ def _fn(name: str, n: str, output: str, p: str = "2") -> tuple[str, ...]:
     return ("fn", name, n, *(("--p", p) if name == "ap" else ()), "--output", output)
 
 
-# file name -> argv
+def _suite_rows_1e5() -> str:
+    """The suite's records at 10**5 with each check's rows, which neither
+    `verify` output nor any other golden shows."""
+    records = statement_suite(10**5).to_records(include_rows=True)
+    return json.dumps(records, indent=1) + "\n"
+
+
+# file name -> argv, or a function that returns the file's text
 GOLDEN = {
+    "suite_rows_1e5.json": _suite_rows_1e5,
     "verify.json": ("verify", "--limit", "100000", "--output", "json"),
     **{f"aeps_{s}.json": (*_AEPS, "--seq", s) for s in _SEQS},
     **{f"aeps_{s}_remark.json": (*_AEPS, "--seq", s, "--remark") for s in _SEQS},
@@ -116,6 +129,8 @@ GOLDEN = {
 
 
 def _stdout(argv) -> str:
+    if callable(argv):
+        return argv()
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         main(list(argv))
