@@ -405,7 +405,7 @@ def _cmd_aeps(args) -> int:
             f"Pascal count scans support --limit <= {PASCAL_LIMIT_CAP}, "
             f"got {args.limit}"
         )
-    envelope = None if args.envelope == "none" else args.envelope or "auto"
+    envelope = {None: "auto", "none": None}.get(args.envelope, args.envelope)
     report = count_report(spec, args.eps, cp, envelope=envelope)
     ok = report.envelope_ok
     head = [

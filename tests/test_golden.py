@@ -1,4 +1,4 @@
-"""CLI output pinned byte for byte against committed golden files.
+"""CLI output and the suite's check rows, pinned byte for byte against golden files.
 
 Each file under tests/golden/ is the stdout of `idealconv` for one argument
 list in GOLDEN, or the text that a function in GOLDEN returns.  The verify
