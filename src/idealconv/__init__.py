@@ -1,104 +1,22 @@
 """Convergence exponents of integer sets, growth ideals, and the exceptional
-sets of classical arithmetic sequences."""
+sets of classical arithmetic sequences.
 
-from .arith import iroot, is_prime, pascal_count
-from .bulk import BlockStats, iter_blocks, small_primes
-from .convergence import (
-    CountRow,
-    ExceptionalReport,
-    LimsupReport,
-    RatioRow,
-    SequenceSpec,
-    count_report,
-    default_envelope,
-    envelope_value,
-    exceptional_members,
-    exceptional_scan,
-    exceptional_set,
-    remark_limsup,
-    sequence_spec,
-    sequence_values,
-    smooth_bound_for,
-)
-from .errors import DataFormatError, InsufficientDataError, InvalidArgumentError
-from .exponent import (
-    EvidenceRow,
-    ExponentEstimate,
-    Ideal,
-    IdealVerdict,
-    Trend,
-    Verdict,
-    classify_leq,
-    classify_less,
-    estimate_lambda,
-    partial_sum_probe,
-)
-from .sets import (
-    Checkpoints,
-    IntegerSet,
-    from_file,
-    from_iterable,
-    logpower_set,
-    naturals,
-    power_set,
-    primes_set,
-    scale,
-    smooth_set,
-    union,
-)
-from .suite import CheckResult, StatementResult, SuiteReport, statement_suite
+The package exports the names in each module's __all__, and __version__.
+"""
+
+from . import arith, bulk, convergence, errors, exponent, sets, suite
+from .arith import *  # noqa: F403
+from .bulk import *  # noqa: F403
+from .convergence import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .exponent import *  # noqa: F403
+from .sets import *  # noqa: F403
+from .suite import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "iroot",
-    "is_prime",
-    "pascal_count",
-    "BlockStats",
-    "iter_blocks",
-    "small_primes",
-    "CountRow",
-    "ExceptionalReport",
-    "LimsupReport",
-    "RatioRow",
-    "SequenceSpec",
-    "count_report",
-    "default_envelope",
-    "envelope_value",
-    "exceptional_members",
-    "exceptional_scan",
-    "exceptional_set",
-    "remark_limsup",
-    "sequence_spec",
-    "sequence_values",
-    "smooth_bound_for",
-    "DataFormatError",
-    "InsufficientDataError",
-    "InvalidArgumentError",
-    "EvidenceRow",
-    "ExponentEstimate",
-    "Ideal",
-    "IdealVerdict",
-    "Trend",
-    "Verdict",
-    "classify_leq",
-    "classify_less",
-    "estimate_lambda",
-    "partial_sum_probe",
-    "Checkpoints",
-    "IntegerSet",
-    "from_file",
-    "from_iterable",
-    "logpower_set",
-    "naturals",
-    "power_set",
-    "primes_set",
-    "scale",
-    "smooth_set",
-    "union",
-    "CheckResult",
-    "StatementResult",
-    "SuiteReport",
-    "statement_suite",
+    *(name for m in (arith, bulk, convergence, errors, exponent, sets, suite)
+      for name in m.__all__),
     "__version__",
 ]

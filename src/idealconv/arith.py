@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-__all__ = ["pascal_count", "pascal_counts", "iroot", "is_prime", "require_prime"]
+__all__ = ["pascal_count", "iroot", "is_prime"]
 
 
 # The first 13 primes.  As Miller-Rabin bases they decide every m below

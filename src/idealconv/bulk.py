@@ -46,7 +46,7 @@ import numpy as np
 from .arith import iroot, require_prime
 from .errors import InvalidArgumentError
 
-__all__ = ["BLOCK", "PRIME_BOUND_CAP", "BlockStats", "iter_blocks", "small_primes"]
+__all__ = ["BlockStats", "iter_blocks", "small_primes"]
 
 FIELD_NAMES = frozenset(
     {"h_min", "h_max", "omega", "big_omega", "div_count", "exp_gcd"}

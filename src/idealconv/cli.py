@@ -43,7 +43,7 @@ from .sets import (
     power_set,
     smooth_set,
 )
-from .suite import statement_suite
+from .suite import DEFAULT_EPS_GRID, statement_suite
 
 SCHEMA_VERSION = 1
 
@@ -359,19 +359,16 @@ def _cmd_aeps(args) -> int:
             f"unknown sequence {args.seq!r}; choose from {_SEQ_NAMES}"
         )
     spec = sequence_spec(_FN[args.seq][2], p=args.p)
-    # a count report scans only to its last checkpoint, which can sit below
-    # 2**63 when --limit does not, so check the limit itself
-    if args.limit >= 2**63:
-        raise InvalidArgumentError(f"aeps needs --limit < 2**63, got {args.limit}")
+    # one range for both modes; a count report scans only to its last
+    # checkpoint, which can sit below 2**63 when --limit does not, so check
+    # the limit itself
+    if not 2 <= args.limit < 2**63:
+        raise InvalidArgumentError(f"aeps needs 2 <= --limit < 2**63, got {args.limit}")
     if args.remark:
         # the limsup rows are taken at k = 1, 2, 4, ..., with no envelope
         for flag in ("checkpoints", "envelope"):
             if getattr(args, flag) is not None:
                 raise InvalidArgumentError(f"aeps --remark takes no --{flag}")
-        if args.limit < 2:
-            raise InvalidArgumentError(
-                f"aeps --remark needs --limit >= 2, got {args.limit}"
-            )
         report = remark_limsup(spec, args.eps, args.limit)
         head = [
             f"limsup rows for {spec.label}, eps={args.eps:g}, "
@@ -393,7 +390,7 @@ def _cmd_aeps(args) -> int:
     cp = (
         _parse_checkpoints(args.checkpoints)
         if args.checkpoints
-        else Checkpoints.geometric(args.limit)
+        else Checkpoints.geometric(args.limit, start=min(1000, args.limit))
     )
     if cp.values[-1] > args.limit:
         raise InvalidArgumentError(
@@ -438,7 +435,7 @@ def _cmd_verify(args) -> int:
     else:
         statements = tuple(args.suite)
     cp = _parse_checkpoints(args.checkpoints) if args.checkpoints else None
-    eps_grid = tuple(args.eps) if args.eps else (0.25, 0.5, 1.0)
+    eps_grid = tuple(args.eps) if args.eps else DEFAULT_EPS_GRID
     report = statement_suite(
         args.limit,
         checkpoints=cp,

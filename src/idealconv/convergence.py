@@ -37,24 +37,17 @@ from .sets import Checkpoints, IntegerSet
 __all__ = [
     "SequenceSpec",
     "sequence_spec",
-    "SEQUENCE_KEYS",
     "sequence_values",
     "exceptional_set",
     "exceptional_members",
     "exceptional_scan",
-    "deviation",
-    "PASCAL_LIMIT_CAP",
-    "pascal_distances",
     "smooth_bound_for",
     "envelope_value",
     "default_envelope",
-    "envelope_rows",
-    "ENVELOPE_KINDS",
     "CountRow",
     "ExceptionalReport",
     "count_report",
     "RatioRow",
-    "Tally",
     "LimsupReport",
     "remark_limsup",
 ]

@@ -1,6 +1,6 @@
 """Exception types shared across the package."""
 
-from __future__ import annotations
+__all__ = ["InvalidArgumentError", "InsufficientDataError", "DataFormatError"]
 
 
 class InvalidArgumentError(ValueError):

@@ -40,9 +40,7 @@ __all__ = [
     "estimate_lambda",
     "classify_leq",
     "classify_less",
-    "classify_rows",
     "partial_sum_probe",
-    "DEFAULT_DELTAS",
 ]
 
 

@@ -58,7 +58,6 @@ from .exponent import Ideal, Verdict, classify_rows
 from .sets import Checkpoints
 
 __all__ = [
-    "STATEMENTS",
     "CheckResult",
     "StatementResult",
     "SuiteReport",
@@ -66,6 +65,7 @@ __all__ = [
 ]
 
 STATEMENTS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII")
+DEFAULT_EPS_GRID = (0.25, 0.5, 1.0)
 
 # limsup bars are asserted only where members are plentiful at desk scale;
 # larger tolerances are reported without blocking (members of the
@@ -264,7 +264,7 @@ def _limsup_check(label: str, tally: _TrendTally, eps: float) -> CheckResult:
 def statement_suite(
     limit: int,
     checkpoints: Checkpoints | None = None,
-    eps_grid: tuple[float, ...] = (0.25, 0.5, 1.0),
+    eps_grid: tuple[float, ...] = DEFAULT_EPS_GRID,
     statements: tuple[str, ...] | None = None,
     pascal_check_limit: int = 100_000,
 ) -> SuiteReport:
@@ -277,6 +277,8 @@ def statement_suite(
             f"suite needs at least four decades of range, got limit={limit}"
         )
     cp = checkpoints or Checkpoints.geometric(limit, start=1000, factor=2)
+    if len(cp.values) < 3:  # the decay verdicts need three points
+        raise InvalidArgumentError("need at least 3 checkpoints")
     if cp.values[-1] > limit:
         raise InvalidArgumentError(
             f"checkpoint {cp.values[-1]} exceeds the scan limit {limit}"

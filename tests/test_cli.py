@@ -134,6 +134,12 @@ def test_lambda_power_set(capsys):
     assert [r["n"] for r in doc["records"]][:4] == [2, 4, 8, 16]
 
 
+def test_lambda_of_a_generated_set_defaults_to_10000_terms(capsys):
+    code, out, _ = run(capsys, "lambda", "--power", "0.5", "--output", "json")
+    assert code == 0
+    assert json.loads(out)["terms"] == 10_000
+
+
 def test_lambda_rejects_bad_file(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("5\n3\n")
@@ -338,13 +344,27 @@ def test_p_refused_where_it_does_not_apply(capsys, argv, message):
     [
         (("--checkpoints", "10,100"), "error: aeps --remark takes no --checkpoints\n"),
         (("--envelope", "auto"), "error: aeps --remark takes no --envelope\n"),
-        (("--limit", "-5"), "error: aeps --remark needs --limit >= 2, got -5\n"),
+        (("--limit", "-5"), "error: aeps needs 2 <= --limit < 2**63, got -5\n"),
     ],
     ids=["checkpoints", "envelope", "limit"],
 )
 def test_remark_refuses_what_it_cannot_use(capsys, argv, message):
     code, out, err = run(capsys, "aeps", "--seq", "omega", "--eps", "0.5", "--remark", *argv)
     assert code == 2 and out == "" and err == message
+
+
+def test_aeps_below_the_default_grid_start_reports_at_the_limit(capsys):
+    code, out, err = run(
+        capsys, "aeps", "--seq", "omega", "--eps", "0.5", "--limit", "500", "--output", "csv"
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:] == ["omega_over_loglog,0.5,500,143,,"]
+
+
+def test_aeps_refuses_a_limit_below_two(capsys):
+    code, out, err = run(capsys, "aeps", "--seq", "h", "--eps", "0.5", "--limit", "-5")
+    assert code == 2 and out == ""
+    assert err == "error: aeps needs 2 <= --limit < 2**63, got -5\n"
 
 
 def test_aeps_unknown_sequence(capsys):
@@ -402,6 +422,15 @@ def test_verify_passes_where_the_envelope_underflows(capsys, argv):
     code, out, err = run(capsys, "verify", *argv, "--limit", "100000")
     assert code == 0 and err == ""
     assert out.startswith("suite: PASS") and "; max ratio 0\n" in out
+
+
+@pytest.mark.parametrize("checkpoints", ["5000", "5000,6000"])
+def test_verify_refuses_fewer_than_three_checkpoints(capsys, checkpoints):
+    code, out, err = run(
+        capsys, "verify", "--limit", "100000", "--checkpoints", checkpoints
+    )
+    assert code == 2 and out == ""
+    assert err == "error: need at least 3 checkpoints\n"
 
 
 def test_verify_unknown_statement(capsys):

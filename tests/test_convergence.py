@@ -472,6 +472,10 @@ def test_suite_validation():
         statement_suite(5_000)  # needs at least four decades
     with pytest.raises(InvalidArgumentError):
         statement_suite(10**4, statements=("IX",))
+    # a decay verdict needs three points; the suite refuses before it scans
+    for values in ((5000,), (5000, 6000)):
+        with pytest.raises(InvalidArgumentError, match="^need at least 3 checkpoints$"):
+            statement_suite(10**5, checkpoints=Checkpoints(values))
 
 
 # the (sequence key, prime) pairs the suite scans, statements I..V, VII, VIII

@@ -243,6 +243,17 @@ def test_less_implies_leq_on_same_evidence():
     assert classify_leq(power_set(0.25), 0.5).verdict is Verdict.CONSISTENT
 
 
+@pytest.mark.parametrize(
+    "classify,q,grid",
+    [(classify_leq, 0.99, {1 - 0.99}), (classify_less, 0.01, {0.005})],
+    ids=["leq-0.99", "less-0.01"],
+)
+def test_default_delta_grid_falls_back_when_cut_empty(classify, q, grid):
+    # no default delta keeps q + delta <= 1 at 0.99, nor lies below 0.01
+    v = classify(power_set(0.5), q, checkpoints=DECADES)
+    assert {row.delta for row in v.evidence} == grid
+
+
 def test_classify_less_validation():
     with pytest.raises(InvalidArgumentError):
         classify_less(naturals(), 0.0)

@@ -300,6 +300,31 @@ def test_union_of_interleaved_sets_matches_set_oracle():
     assert union(power_set(Fraction(2, 3)), power_set(0.5)).prefix(len(want)) == want
 
 
+def test_union_runs_on_after_one_side_ends():
+    # [1, 5, 9] ends inside the first chunk of squares, which the union then
+    # streams on its own, past that chunk
+    want = sorted({1, 5, 9} | {n * n for n in range(1, CHUNK + 11)})[: CHUNK + 10]
+    assert union(from_iterable([1, 5, 9]), power_set(0.5)).prefix(CHUNK + 10) == want
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ([2, 3, 5, 7, 11, 13, 17], [1, 3, 9]),
+        ([1, 3, 9], [2, 3, 5, 7, 11, 13, 17]),
+        ([4, 8], [4, 8]),
+    ],
+    ids=["left-outlasts", "right-outlasts", "equal"],
+)
+def test_union_of_finite_sets_matches_set_oracle(a, b):
+    want = sorted(set(a) | set(b))
+    u = union(from_iterable(a), from_iterable(b))
+    assert u.prefix(len(want)) == want
+    assert u.count(math.inf) == len(want)
+    with pytest.raises(InsufficientDataError):
+        union(from_iterable(a), from_iterable(b)).prefix(len(want) + 1)
+
+
 def test_scale_matches_set_oracle():
     terms = 3 * CHUNK + 17
     want = sorted({7 * math.isqrt(n**3) for n in range(1, terms + 1)})
