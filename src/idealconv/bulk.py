@@ -48,11 +48,17 @@ from .errors import InvalidArgumentError
 
 __all__ = ["BlockStats", "iter_blocks", "small_primes"]
 
-FIELD_NAMES = frozenset(
-    {"h_min", "h_max", "omega", "big_omega", "div_count", "exp_gcd"}
-)
+# each field the sweep fills: its dtype and its value before any prime is
+# swept (h_min's 127 is above any exponent of n < 2**63), in allocation order
+_SWEPT = {
+    "h_min": (np.int8, 127),
+    "h_max": (np.int8, 0),
+    "omega": (np.int8, 0),
+    "big_omega": (np.int8, 0),
+    "div_count": (np.int32, 1),
+}
+FIELD_NAMES = frozenset({*_SWEPT, "exp_gcd"})
 
-_NO_EXPONENT = 127  # int8 h_min sentinel, above any exponent of n < 2**63
 _LIMIT_CAP = 1 << 63  # the field dtypes below are exact for n < 2**63
 BLOCK = 1 << 17  # integers per block: an int64 array of it is 1 MB
 PRIME_BOUND_CAP = 1 << 26  # largest bound small_primes sieves to
@@ -186,8 +192,7 @@ def iter_blocks(
         return
     fields = frozenset(fields)
     bounds = sorted(set(smooth_bounds))
-    # the sweep fills the smooth masks and every field but exp_gcd
-    need_full = bool(fields - {"exp_gcd"} or bounds)
+    need_full = bool(bounds) or not fields.isdisjoint(_SWEPT)
     primes = small_primes(math.isqrt(limit)) if need_full else None
     # buffers for each block's running product and logs, sized for the
     # first block, which no later block exceeds
@@ -200,16 +205,9 @@ def iter_blocks(
         size = hi - lo
         n_arr = np.arange(lo, hi, dtype=np.int64)
         stats = BlockStats(lo=lo, hi=hi, n=n_arr, log_buf=(log_buf[0][:size], log_buf[1][:size]))
-        if "h_min" in fields:
-            stats.h_min = np.full(size, _NO_EXPONENT, dtype=np.int8)
-        if "h_max" in fields:
-            stats.h_max = np.zeros(size, dtype=np.int8)
-        if "omega" in fields:
-            stats.omega = np.zeros(size, dtype=np.int8)
-        if "big_omega" in fields:
-            stats.big_omega = np.zeros(size, dtype=np.int8)
-        if "div_count" in fields:
-            stats.div_count = np.ones(size, dtype=np.int32)
+        for name, (dtype, unswept) in _SWEPT.items():
+            if name in fields:
+                setattr(stats, name, np.full(size, unswept, dtype=dtype))
         if "exp_gcd" in fields:
             stats.exp_gcd = _exp_gcd(lo, hi)
         for p in ap_primes:

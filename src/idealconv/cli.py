@@ -29,6 +29,7 @@ from .bulk import iter_blocks
 from .convergence import (
     PASCAL_LIMIT_CAP,
     count_report,
+    default_envelope,
     remark_limsup,
     sequence_spec,
     sequence_values,
@@ -46,6 +47,7 @@ from .sets import (
 from .suite import DEFAULT_EPS_GRID, statement_suite
 
 SCHEMA_VERSION = 1
+FN_RANGE_CAP = 10**6  # values one `fn` call holds, about 270 MB as records
 
 _EXIT_BY_VERDICT = {
     Verdict.CONSISTENT: 0,
@@ -142,45 +144,30 @@ def _parse_power(text: str) -> float | Fraction:
         raise InvalidArgumentError(f"bad exponent {text!r}") from None
 
 
-def _parse_primes(text: str) -> tuple[int, ...]:
+def _int_list(text: str, what: str, sep: str = ",") -> list[int]:
+    """The integers in `text` split at `sep`; any other item raises "bad WHAT 'TEXT'"."""
     try:
-        return tuple(int(t) for t in text.split(","))
+        return [int(t) for t in text.split(sep)]
     except ValueError:
-        raise InvalidArgumentError(f"bad prime list {text!r}") from None
+        raise InvalidArgumentError(f"bad {what} {text!r}") from None
 
 
 def _parse_checkpoints(text: str) -> Checkpoints:
     """Either START:CAP:FACTOR (geometric) or a comma list of values."""
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise InvalidArgumentError(
-                f"checkpoint spec {text!r} is not START:CAP:FACTOR"
-            )
-        try:
-            start, cap, factor = (int(p) for p in parts)
-        except ValueError:
-            raise InvalidArgumentError(f"bad checkpoint spec {text!r}") from None
+        if text.count(":") != 2:
+            raise InvalidArgumentError(f"checkpoint spec {text!r} is not START:CAP:FACTOR")
+        start, cap, factor = _int_list(text, "checkpoint spec", sep=":")
         return Checkpoints.geometric(cap, start=start, factor=factor)
-    try:
-        values = tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise InvalidArgumentError(f"bad checkpoint list {text!r}") from None
-    return Checkpoints(values)
+    return Checkpoints(tuple(_int_list(text, "checkpoint list")))
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ":" in text:
-        a, _, b = text.partition(":")
-        try:
-            lo, hi = int(a), int(b)
-        except ValueError:
-            raise InvalidArgumentError(f"bad range {text!r}") from None
-    else:
-        try:
-            lo = hi = int(text)
-        except ValueError:
-            raise InvalidArgumentError(f"bad value {text!r}") from None
+    """START:END, or a single n as the range n:n."""
+    ends = _int_list(text, "range" if ":" in text else "value", sep=":")
+    if len(ends) > 2:
+        raise InvalidArgumentError(f"bad range {text!r}")
+    lo, hi = ends[0], ends[-1]
     if lo < 1 or hi < lo:
         raise InvalidArgumentError(f"need 1 <= start <= end, got {text!r}")
     return lo, hi
@@ -206,7 +193,7 @@ def _build_set(args) -> IntegerSet:
     if args.logpower is not None:
         return logpower_set(args.logpower)
     if args.smooth is not None:
-        return smooth_set(_parse_primes(args.smooth))
+        return smooth_set(_int_list(args.smooth, "prime list"))
     return from_file(args.file)
 
 
@@ -277,6 +264,10 @@ def _cmd_fn(args) -> int:
             f"unknown function {args.name!r}; choose from {', '.join(_FN)}"
         )
     lo, hi = _parse_range(args.n)
+    if hi - lo >= FN_RANGE_CAP:
+        raise InvalidArgumentError(
+            f"fn ranges hold at most {FN_RANGE_CAP} values, got {hi - lo + 1}"
+        )
     records = [
         {"n": n, "value": v} for n, v in _fn_values(args.name, lo, hi, args.p)
     ]
@@ -402,8 +393,14 @@ def _cmd_aeps(args) -> int:
             f"Pascal count scans support --limit <= {PASCAL_LIMIT_CAP}, "
             f"got {args.limit}"
         )
-    envelope = {None: "auto", "none": None}.get(args.envelope, args.envelope)
-    report = count_report(spec, args.eps, cp, envelope=envelope)
+    # the sequence's own envelope kind, if any, prints as auto does
+    envelopes = {None: True, "auto": True, "none": False, default_envelope(spec): True}
+    if args.envelope not in envelopes:
+        raise InvalidArgumentError(
+            f"envelope {args.envelope!r} does not bound sequence {spec.key!r}; "
+            f"choose from {', '.join(k for k in envelopes if k)}"
+        )
+    report = count_report(spec, args.eps, cp, envelope=envelopes[args.envelope])
     ok = report.envelope_ok
     head = [
         f"exceptional counts for {spec.label}, eps={args.eps:g}"
@@ -535,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", help="START:CAP:FACTOR or comma list")
     p.add_argument(
         "--envelope",
-        help="auto (default), none, or an envelope kind",
+        help="auto (default), none, or the sequence's own envelope kind",
     )
     p.add_argument(
         "--remark",

@@ -486,22 +486,14 @@ def count_report(
     spec: SequenceSpec,
     eps: float,
     checkpoints: Checkpoints,
-    envelope: str | None = "auto",
+    envelope: bool = True,
 ) -> ExceptionalReport:
     """Exceptional counts at each checkpoint, with envelope columns.
 
-    `envelope="auto"` picks the proven bound for the sequence when one
-    exists; pass None to skip, or a kind name to force (mismatches raise).
+    The envelope is the proven bound for the sequence when one exists
+    (`default_envelope`); envelope=False leaves the columns blank.
     """
-    kind = default_envelope(spec) if envelope == "auto" else envelope
-    if kind not in (None, *ENVELOPE_KINDS):
-        raise InvalidArgumentError(
-            f"unknown envelope {kind!r}; choose from {sorted(ENVELOPE_KINDS)}"
-        )
-    if kind not in (None, default_envelope(spec)):
-        raise InvalidArgumentError(
-            f"envelope {kind!r} does not bound sequence {spec.key!r}"
-        )
+    kind = default_envelope(spec) if envelope else None
     xs = checkpoints.values
     tally = _tally(spec, eps, xs[-1], xs)
     rows = envelope_rows(kind, eps, spec.p, xs, tally.counts)

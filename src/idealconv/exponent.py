@@ -9,8 +9,8 @@ finite counting evidence:
   * "below q":    for some delta > 0 the series A(x) / x**(q-delta) -> 0.
 
 One classifier, `classify_rows`, serves both ideals: the `Ideal` sets the
-sign of delta and the quantifier over the delta grid.  `classify_leq` and
-`classify_less` check q's range for their ideal and feed it a set's counts.
+sign of delta, the quantifier over the delta grid and the range of q.
+`classify_leq` and `classify_less` feed it a set's counts.
 A finite table of ratios can never witness a limit, so verdicts follow fixed
 decay rules: a series counts as vanishing when its final window is
 nonincreasing and it has either dropped below `_DROP_FACTOR` times its
@@ -255,18 +255,19 @@ class IdealVerdict:
 
 
 def _deltas(ideal: Ideal, q: float, deltas: tuple[float, ...] | None) -> tuple[float, ...]:
-    """The checked delta grid of a verdict on `ideal` at q; None means the
-    default grid, cut to keep q + delta <= 1 (at most) or q - delta > 0 (below)."""
+    """The checked delta grid of a verdict on `ideal` at q, once q is checked
+    to lie in [0, 1) (at most) or (0, 1] (below); None means the default
+    grid, cut to keep q + delta <= 1 (at most) or q - delta > 0 (below)."""
     at_most = ideal is Ideal.AT_MOST
+    if at_most and not 0 <= q < 1:
+        raise InvalidArgumentError(f"q must be in [0, 1) for an at-most verdict, got {q}")
+    if not at_most and not 0 < q <= 1:
+        raise InvalidArgumentError(f"q must be in (0, 1] for a below verdict, got {q}")
     if deltas is None:
         if at_most:
-            deltas = tuple(d for d in DEFAULT_DELTAS if q + d <= 1)
-            if not deltas:
-                deltas = (1 - q,) if q < 1 else (0.02,)
+            deltas = tuple(d for d in DEFAULT_DELTAS if q + d <= 1) or (1 - q,)
         else:
-            deltas = tuple(d for d in DEFAULT_DELTAS if d < q)
-            if not deltas:
-                deltas = (q / 2,)
+            deltas = tuple(d for d in DEFAULT_DELTAS if d < q) or (q / 2,)
     if not deltas:
         raise InvalidArgumentError("delta grid must not be empty")
     for d in deltas:
@@ -293,7 +294,7 @@ def classify_rows(
     deltas: tuple[float, ...] | None = None,
 ) -> IdealVerdict:
     """Verdict on `ideal` at q from the counts A(x) at the checkpoints xs;
-    deltas=None means the default grid.
+    deltas=None means the default grid, and q must lie in the ideal's range.
 
     Each delta gives the series A(x) / x**(q + delta) for "at most q" and
     A(x) / x**(q - delta) for "below q".  "At most q" is consistent when
@@ -366,8 +367,6 @@ def classify_leq(
     Tests A(x) / x**(q + delta) for every delta in the grid; consistent only
     when every series decays under the decay rules.
     """
-    if not 0 <= q < 1:
-        raise InvalidArgumentError(f"q must be in [0, 1) for an at-most verdict, got {q}")
     return _classify(Ideal.AT_MOST, a, q, deltas, checkpoints)
 
 
@@ -382,8 +381,6 @@ def classify_less(
     Searches the delta grid in order for a witness margin whose series
     A(x) / x**(q - delta) decays; the first witness is recorded.
     """
-    if not 0 < q <= 1:
-        raise InvalidArgumentError(f"q must be in (0, 1] for a below verdict, got {q}")
     return _classify(Ideal.BELOW, a, q, deltas, checkpoints)
 
 

@@ -266,34 +266,35 @@ def _root_chunks(num: int, den: int) -> Iterator[Chunk]:
         yield out
 
 
-def _ints(f: np.ndarray, plus: int = 0) -> Chunk:
-    """A nondecreasing array of integral floats, each plus `plus`, as an
-    int64 array, or as Python ints one by one once the last sum reaches
-    2**63, where int64 would overflow."""
-    if f.size and f[-1] + plus >= 2.0**63:
-        return [int(x) + plus for x in f]
-    return f.astype(np.int64) + plus
-
-
-def _finite_head(f: np.ndarray) -> np.ndarray:
-    """A nondecreasing array up to its first infinite value."""
-    return f[: np.searchsorted(f, np.inf)]
-
-
-def _overflow(label: str, n: int) -> InvalidArgumentError:
-    return InvalidArgumentError(f"{label}: term {n} exceeds the long double range")
+def _long_double_floors(
+    log_term: Callable[[np.ndarray, np.ndarray], np.ndarray], label: str, plus: int = 0
+) -> Iterator[tuple[np.ndarray, np.ndarray, Chunk]]:
+    """ln n, the long-double floors f of exp(log_term(ln n, n)) up to the first
+    infinite one, and the chunk f + plus (int64, or Python ints once the last
+    reaches 2**63) for n = 1, 2, ... by chunks; raises after a chunk cut short."""
+    for lo in itertools.count(1, CHUNK):
+        n = np.arange(lo, lo + CHUNK, dtype=np.longdouble)
+        ln_n = np.log(n)
+        with np.errstate(over="ignore"):
+            f = np.floor(np.exp(log_term(ln_n, n)))
+        f = f[: np.searchsorted(f, np.inf)]  # f is nondecreasing
+        if f.size and f[-1] + plus >= 2.0**63:
+            out = [int(x) + plus for x in f]
+        else:
+            out = f.astype(np.int64) + plus
+        yield ln_n[: f.size], f, out
+        if f.size < CHUNK:
+            raise InvalidArgumentError(
+                f"{label}: term {lo + f.size} exceeds the long double range"
+            )
 
 
 def _float_power_chunks(sf: float, label: str) -> Iterator[Chunk]:
     """floor(n ** (1/sf)) in long double, corrected down where float64 logs
     say the floor is too high, by chunks; raises once a term overflows."""
     inv = np.longdouble(sf)
-    for lo in itertools.count(1, CHUNK):
-        ln_n = np.log(np.arange(lo, lo + CHUNK, dtype=np.longdouble))
-        with np.errstate(over="ignore"):
-            f = _finite_head(np.floor(np.exp(ln_n / inv)))
-        out = _ints(f)
-        ln_n = ln_n[: f.size].astype(np.float64)
+    for ln_n, f, out in _long_double_floors(lambda ln_n, n: ln_n / inv, label):
+        ln_n = ln_n.astype(np.float64)
         # below 2**64 only: past it a long double no longer tells a from
         # a - 1, and float64 logs are far coarser than the floor they check
         high = (sf * np.log(f).astype(np.float64) > ln_n) & (f < 2.0**64)
@@ -302,8 +303,6 @@ def _float_power_chunks(sf: float, label: str) -> Iterator[Chunk]:
             a = _last_false(int(out[i]), lambda m: sf * float(np.log(np.longdouble(m))) > x)
             out[i] = max(a, 1)
         yield out
-        if f.size < CHUNK:
-            raise _overflow(label, lo + f.size)
 
 
 def _last_false(a: int, too_high: Callable[[int], bool]) -> int:
@@ -339,20 +338,12 @@ def logpower_set(q: float) -> IntegerSet:
     if not 0 < q < 1:
         raise InvalidArgumentError(f"logpower exponent must be in (0, 1), got {q}")
 
+    qd = np.longdouble(q)
     label = f"logpower({q:g})"
-
-    def gen() -> Iterator[Chunk]:
-        qd = np.longdouble(q)
-        for lo in itertools.count(1, CHUNK):
-            nd = np.arange(lo, lo + CHUNK, dtype=np.longdouble)
-            with np.errstate(over="ignore"):
-                v = np.exp(np.log(nd) / qd + (2 / qd) * np.log(np.log(nd + 1)))
-            f = _finite_head(np.floor(v))
-            yield _ints(f, plus=1)
-            if f.size < CHUNK:
-                raise _overflow(label, lo + f.size)
-
-    return IntegerSet(gen(), label=label)
+    floors = _long_double_floors(
+        lambda ln_n, n: ln_n / qd + (2 / qd) * np.log(np.log(n + 1)), label, plus=1
+    )
+    return IntegerSet((out for _, _, out in floors), label=label)
 
 
 def smooth_set(primes: Iterable[int]) -> IntegerSet:

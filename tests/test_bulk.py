@@ -179,6 +179,13 @@ def test_yielded_arrays_outlive_the_next_block():
             np.testing.assert_array_equal(got[key], arr, err_msg=f"{stats.lo} {key}")
 
 
+def test_unknown_field_and_start_below_two_are_rejected():
+    with pytest.raises(InvalidArgumentError, match=r"unknown bulk fields: \['phi'\]"):
+        next(iter_blocks(100, {"omega", "phi"}))
+    with pytest.raises(InvalidArgumentError, match="bulk scans start at n >= 2"):
+        next(iter_blocks(100, start=1))
+
+
 def test_limit_from_two_to_the_63_is_rejected():
     with pytest.raises(InvalidArgumentError, match="2\\*\\*63"):
         next(iter_blocks(2**63))

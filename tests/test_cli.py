@@ -229,6 +229,39 @@ def test_classify_bad_checkpoints(capsys):
     assert code == 2 and "START:CAP:FACTOR" in err
 
 
+_CLASSIFY = ("classify", "--power", "0.5", "--ideal", "leq", "--q", "0.5")
+
+
+# every message of the argument parsers, and the classifier's checkpoint
+# count, line for line
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("construct", "--power", "x", "--terms", "5"), "bad exponent 'x'"),
+        (("construct", "--smooth", "2,x", "--terms", "5"), "bad prime list '2,x'"),
+        ((*_CLASSIFY, "--checkpoints", "10:x:10"), "bad checkpoint spec '10:x:10'"),
+        ((*_CLASSIFY, "--checkpoints", "10,x"), "bad checkpoint list '10,x'"),
+        (
+            (*_CLASSIFY, "--checkpoints", "1:2:3:4"),
+            "checkpoint spec '1:2:3:4' is not START:CAP:FACTOR",
+        ),
+        (("fn", "omega", "1:x"), "bad range '1:x'"),
+        (("fn", "omega", "1:2:3"), "bad range '1:2:3'"),
+        (("fn", "omega", "x"), "bad value 'x'"),
+        (
+            (*_CLASSIFY, "--checkpoints", "1000,10000000"),
+            "need at least 3 checkpoints",
+        ),
+    ],
+    ids=[
+        "exponent", "prime-list", "checkpoint-spec", "checkpoint-list",
+        "checkpoint-parts", "range", "range-parts", "value", "two-checkpoints",
+    ],
+)
+def test_argument_errors_give_their_exact_line(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # aeps
 # ---------------------------------------------------------------------------
@@ -365,6 +398,25 @@ def test_aeps_refuses_a_limit_below_two(capsys):
     code, out, err = run(capsys, "aeps", "--seq", "h", "--eps", "0.5", "--limit", "-5")
     assert code == 2 and out == ""
     assert err == "error: aeps needs 2 <= --limit < 2**63, got -5\n"
+
+
+def test_aeps_envelope_of_its_own_kind_prints_as_no_flag(capsys):
+    argv = ("aeps", "--seq", "gamma", "--eps", "0.5", "--limit", "10000")
+    plain = run(capsys, *argv)
+    assert plain[0] == 0 and "envelope perfect_power: holds" in plain[1]
+    for flag in ("auto", "perfect_power"):
+        assert run(capsys, *argv, "--envelope", flag) == plain
+
+
+@pytest.mark.parametrize("kind", ["max_exponent", "foo"])
+def test_aeps_refuses_an_envelope_other_than_its_own(capsys, kind):
+    argv = ("aeps", "--seq", "gamma", "--eps", "0.5", "--limit", "10000")
+    assert run(capsys, *argv, "--envelope", kind) == (
+        2,
+        "",
+        f"error: envelope {kind!r} does not bound sequence 'power_rep_count'; "
+        "choose from auto, none, perfect_power\n",
+    )
 
 
 def test_aeps_unknown_sequence(capsys):
@@ -567,11 +619,20 @@ def test_fn_ap_of_a_huge_prime(capsys):
             ("verify", "--suite", "I", "--eps", "0.5", "--eps", "0.5", "--limit", "1000000"),
             "eps grid must not repeat a value, got (0.5, 0.5)",
         ),
+        (
+            ("fn", "omega", "1:100000000"),
+            "fn ranges hold at most 1000000 values, got 100000000",
+        ),
+        (
+            ("fn", "N", "5:1000005"),
+            "fn ranges hold at most 1000000 values, got 1000001",
+        ),
     ],
     ids=[
         "fn-ap-2**70", "verify-eps-0.05", "fn-omega-2**62", "fn-ap-p4", "aeps-ap-p4",
         "construct-smooth-4", "aeps-ap-2**89-1",
         "verify-eps-nan", "aeps-eps-nan", "classify-delta-nan", "verify-eps-repeated",
+        "fn-omega-10**8-values", "fn-N-10**6+1-values",
     ],
 )
 def test_bad_input_exits_2_at_once(capsys, argv, message):

@@ -308,14 +308,11 @@ def test_count_report_counts_and_envelope():
     a = exceptional_set(GAMMA, 0.5, 10_000)
     for r in rep.rows:
         assert r.count == a.count(r.x)
-    # a forced kind gives the same report; no envelope gives blank columns
-    assert count_report(GAMMA, 0.5, cp, envelope="perfect_power") == rep
-    bare = count_report(GAMMA, 0.5, cp, envelope=None)
+    # no envelope gives blank columns
+    bare = count_report(GAMMA, 0.5, cp, envelope=False)
     assert bare.envelope_kind is None and bare.envelope_ok
     assert [r.count for r in bare.rows] == [r.count for r in rep.rows]
     assert all(r.envelope is None and r.ratio is None for r in bare.rows)
-    with pytest.raises(InvalidArgumentError):
-        count_report(GAMMA, 0.5, cp, envelope="max_exponent")  # wrong sequence
 
 
 def test_prime_valuation_envelope_holds_at_equality():
@@ -467,6 +464,23 @@ def test_suite_vi_verdict_skipped_on_short_ranges(limit):
         )
 
 
+def test_statement_i_containment_fails_with_its_witnesses(monkeypatch):
+    # a smooth bound of 2 is too small at eps = 0.5: 3, 5, 6, 7 and 9 are
+    # members (h_min(n) / log n >= 0.5) that are not 2-smooth
+    monkeypatch.setattr(suite_mod, "smooth_bound_for", lambda eps: 2)
+    rep = statement_suite(10**5, eps_grid=(0.5,), statements=("I",))
+    assert not rep.passed
+    (res,) = rep.results
+    chk = {c.name: c for c in res.checks}["containment"]
+    assert not chk.passed and chk.blocking
+    assert [r["n"] for r in chk.rows] == [3, 5, 6, 7, 9]
+    assert chk.rows[0]["value"] == pytest.approx(1 / math.log(3))
+    assert chk.details.startswith(
+        "every member is 2-smooth (largest prime with 1/log p >= eps); "
+        "witnesses [(3, "
+    )
+
+
 def test_suite_validation():
     with pytest.raises(InvalidArgumentError):
         statement_suite(5_000)  # needs at least four decades
@@ -511,7 +525,7 @@ def test_suite_tallies_match_count_and_limsup_reports(monkeypatch):
         spec = sequence_spec(key, p=p)
         for eps in rep.eps_grid:
             tally = seen[(spec.label, eps)]
-            counts = count_report(spec, eps, rep.checkpoints, envelope=None)
+            counts = count_report(spec, eps, rep.checkpoints, envelope=False)
             assert tally.counts == [r.count for r in counts.rows], (spec.label, eps)
             limsup = remark_limsup(spec, eps, limit)
             assert tuple(tally.final_rows()) == limsup.rows, (spec.label, eps)

@@ -263,6 +263,25 @@ def test_classify_less_validation():
         classify_less(naturals(), 0.5, deltas=())
 
 
+@pytest.mark.parametrize(
+    "ideal,q,message",
+    [
+        (Ideal.AT_MOST, 1.0, "q must be in [0, 1) for an at-most verdict, got 1.0"),
+        (Ideal.AT_MOST, 1.5, "q must be in [0, 1) for an at-most verdict, got 1.5"),
+        (Ideal.AT_MOST, -0.5, "q must be in [0, 1) for an at-most verdict, got -0.5"),
+        (Ideal.BELOW, 0.0, "q must be in (0, 1] for a below verdict, got 0.0"),
+        (Ideal.BELOW, 1.5, "q must be in (0, 1] for a below verdict, got 1.5"),
+    ],
+    ids=["leq-1", "leq-1.5", "leq-minus-0.5", "less-0", "less-1.5"],
+)
+def test_classify_rows_refuses_q_outside_its_ideal(ideal, q, message):
+    # the suite calls classify_rows itself, so the range is checked there,
+    # with the messages of classify_leq and classify_less
+    with pytest.raises(InvalidArgumentError) as err:
+        classify_rows(ideal, "x", q, [1000, 2000, 4000], [1, 2, 3])
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # verdict truth table
 # ---------------------------------------------------------------------------

@@ -485,6 +485,18 @@ def test_from_file_rejects_empty(tmp_path):
         from_file(str(path)).prefix(1)
 
 
+def test_from_file_refuses_values_below_one(tmp_path):
+    path = tmp_path / "zero.txt"
+    path.write_text("3\n0\n")
+    with pytest.raises(DataFormatError, match=r"zero\.txt:2: values must be >= 1"):
+        from_file(str(path)).prefix(2)
+
+
+def test_prefix_of_negative_length_is_refused():
+    with pytest.raises(InvalidArgumentError, match="prefix length must be >= 0, got -1"):
+        naturals().prefix(-1)
+
+
 # ---------------------------------------------------------------------------
 # checkpoint grids
 # ---------------------------------------------------------------------------
@@ -510,3 +522,8 @@ def test_checkpoints_validation():
         Checkpoints((1, 10))
     with pytest.raises(InvalidArgumentError):
         Checkpoints.geometric(10, start=100)
+
+
+def test_empty_checkpoints_are_refused():
+    with pytest.raises(InvalidArgumentError, match="checkpoints must be non-empty"):
+        Checkpoints(())
