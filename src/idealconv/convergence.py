@@ -7,14 +7,15 @@ those sets, counts them against analytic envelopes, and measures the
 limsup of log k / log n_k along their elements.
 
 `exceptional_scan` is the one scan loop: one `bulk.iter_blocks` pass over
-[2, limit] yields each block's members for any number of (sequence, eps)
-pairs, with `deviation` as the one membership test, so membership over
+[2, limit] yields each block's membership mask for any number of (sequence,
+eps) pairs, with `deviation` as the one membership test, so membership over
 ranges like [2, 10**7] costs one sieve pass.  A `Tally` is the running state
 of one exceptional set across a scan: the count A(x) at each checkpoint and
-the ratio rows at k = 1, 2, 4, ...  `exceptional_members`, the count and
-limsup reports and the statement suite all read that one generator and feed
-their tallies from it; the Pascal count instead thresholds at each eps one
-table of |N(n) - 2|, `pascal_distances`, walked from Pascal's triangle.
+the ratio rows at k = 1, 2, 4, ...  It takes a block's mask and lists the
+members only in the few blocks that hold a checkpoint or a rank k = 2**j.
+`exceptional_members`, the count and limsup reports and the statement suite
+all read that one generator; the Pascal count instead thresholds at each eps
+one table of |N(n) - 2|, `pascal_distances`, walked from Pascal's triangle.
 `envelope_rows` is the one envelope comparison and decides count <=
 envelope, in integers where the two can tie.  There is no per-n path:
 `idealconv fn` reads single values off the same blocks, and the tests check
@@ -216,6 +217,11 @@ def deviation(
     return dev
 
 
+def _require_eps(eps: float) -> None:
+    if not eps > 0:
+        raise InvalidArgumentError(f"tolerance eps must be positive, got {eps}")
+
+
 def exceptional_scan(
     pairs: Iterable[tuple[SequenceSpec, float]],
     limit: int,
@@ -226,32 +232,33 @@ def exceptional_scan(
     (spec, eps) pairs, where start is the least start_n among the specs.
 
     For each block it yields the block's stats, with the masks for
-    `smooth_bounds`, and an iterator over the pairs of (spec, eps, idx, dev):
-    the block's members are stats.lo + idx, and dev is the spec's
-    `deviation`.  The pairs come grouped by spec in order of first
-    appearance, so dev is computed once per block for all of a spec's eps.
+    `smooth_bounds`, and an iterator over the pairs of (spec, eps, mask,
+    dev): mask is the bool array dev >= eps, so the block's members are
+    stats.lo + np.flatnonzero(mask), and dev is the spec's `deviation`.  The
+    pairs come grouped by spec in order of first appearance, so dev is
+    computed once per block for all of a spec's eps.
 
-    The scan owns one buffer for dev, sized for the first block and reused
-    by every block, so that no block takes fresh pages for it: dev is valid
-    only until the iterator moves on to the next spec.  `stats.ln_n` and
+    The scan owns one buffer for dev and one for mask, sized for the first
+    block and reused by every block, so that no block takes fresh pages for
+    them: mask is valid only until the iterator moves on to the next pair,
+    and dev until it moves on to the next spec.  `stats.ln_n` and
     `stats.lnln_n` share iter_blocks' buffers, valid until the next block.
-    idx and every other array of the stats are the caller's to keep.
+    Every other array of the stats is the caller's to keep.
     """
     by_spec: dict[SequenceSpec, list[float]] = {}
     for spec, eps in pairs:
-        if not eps > 0:
-            raise InvalidArgumentError(f"tolerance eps must be positive, got {eps}")
+        _require_eps(eps)
         by_spec.setdefault(spec, []).append(eps)
     if not by_spec:
         return
 
-    def hits(stats: BlockStats, dev_out: np.ndarray):
+    def hits(stats: BlockStats, dev_out: np.ndarray, mask_out: np.ndarray):
         for spec, eps_list in by_spec.items():
             dev = deviation(spec, stats, dev_out)
             for eps in eps_list:
-                yield spec, eps, np.flatnonzero(dev >= eps), dev
+                yield spec, eps, np.greater_equal(dev, eps, out=mask_out), dev
 
-    dev_buf = None
+    dev_buf = mask_buf = None
     for stats in iter_blocks(
         limit,
         frozenset().union(*(SEQUENCE_KEYS[s.key][2] for s in by_spec)),
@@ -262,8 +269,8 @@ def exceptional_scan(
     ):
         size = stats.hi - stats.lo
         if dev_buf is None:  # no later block is larger than the first
-            dev_buf = np.empty(size)
-        yield stats, hits(stats, dev_buf[:size])
+            dev_buf, mask_buf = np.empty(size), np.empty(size, dtype=bool)
+        yield stats, hits(stats, dev_buf[:size], mask_buf[:size])
 
 
 def exceptional_members(
@@ -273,15 +280,15 @@ def exceptional_members(
     per sieve block of `exceptional_scan` (the Pascal count's members are
     read off `pascal_distances`, in one array)."""
     if spec.key == "pascal_count":
-        if not eps > 0:
-            raise InvalidArgumentError(f"tolerance eps must be positive, got {eps}")
+        _require_eps(eps)
         n, dist = pascal_distances(limit)
         members = n[dist >= eps]
         if len(members):
             yield members
         return
     for stats, hits in exceptional_scan(((spec, eps),), limit, block_size=block_size):
-        for *_, idx, _ in hits:
+        for *_, mask, _ in hits:
+            idx = np.flatnonzero(mask)
             if len(idx):
                 idx += stats.lo  # in place: one array per block is held, not two
                 yield idx
@@ -302,8 +309,7 @@ def smooth_bound_for(eps: float) -> int | None:
     Every member of the min-exponent exceptional set is p-smooth for this
     bound: a prime factor q > p would force x_n <= 1/log q < eps.
     """
-    if not eps > 0:
-        raise InvalidArgumentError(f"tolerance eps must be positive, got {eps}")
+    _require_eps(eps)
     if eps * math.log(PRIME_BOUND_CAP + 1) <= 1:
         raise InvalidArgumentError(
             f"eps={eps:g} puts the smooth bound e**(1/eps) above the prime "
@@ -429,7 +435,8 @@ class RatioRow:
 class Tally:
     """Running state of one exceptional set across a scan.
 
-    Members arrive block by block in increasing order.  `counts[i]` is
+    Members arrive block by block in increasing order, as a sorted array
+    (`absorb`) or as a block's mask (`absorb_mask`).  `counts[i]` is
     A(checkpoints[i]) once the scan has passed that checkpoint, and `rows`
     holds log k / log n_k at k = 1, 2, 4, ...
     """
@@ -458,6 +465,20 @@ class Tally:
             self.last_member = int(members[-1])
         self.total += len(members)
 
+    def absorb_mask(self, mask: np.ndarray, lo: int, upto: int) -> None:
+        """`absorb` of the members lo + i at the true entries i of a block's
+        mask, all below `upto`.  Only a block that holds a pending checkpoint
+        or the next rank k = 2**j lists them; any other block adds its count
+        and its last member."""
+        m = int(np.count_nonzero(mask))
+        cps = self.checkpoints
+        pending = len(self.counts) < len(cps) and cps[len(self.counts)] < upto
+        if pending or (1 << len(self.rows)) <= self.total + m:
+            self.absorb(np.flatnonzero(mask) + lo, upto)
+        elif m:
+            self.last_member = lo + len(mask) - 1 - int(np.argmax(mask[::-1]))
+            self.total += m
+
     def final_rows(self) -> list[RatioRow]:
         """`rows`, plus the row at the final member when it is not there."""
         rows = list(self.rows)
@@ -475,8 +496,13 @@ def _tally(
 ) -> Tally:
     """The tally of the exceptional set over [start_n, limit]."""
     tally = Tally(checkpoints)
-    for members in exceptional_members(spec, eps, limit):
-        tally.absorb(members, int(members[-1]) + 1)
+    if spec.key == "pascal_count":
+        for members in exceptional_members(spec, eps, limit):
+            tally.absorb(members, limit + 1)
+    else:
+        for stats, hits in exceptional_scan(((spec, eps),), limit):
+            for *_, mask, _ in hits:
+                tally.absorb_mask(mask, stats.lo, stats.hi)
     # checkpoints past the last member
     tally.absorb(np.empty(0, dtype=np.int64), limit + 1)
     return tally

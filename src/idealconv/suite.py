@@ -8,9 +8,12 @@ pass over [2, limit], so the 10**7-scale run costs one scan regardless of
 how many statements and tolerances are enabled.  That pass is
 `convergence.exceptional_scan`, the generator that feeds every tally of the
 package: here one `convergence.Tally` per (sequence, eps), and one per
-smooth bound of statement I from the same blocks.  The suite adds two hooks
-to the scan, statement I's smooth-containment witnesses and the IV/V set
-equality, and its checks read counts and ratio rows off the tallies.
+smooth bound of statement I from the same blocks, each fed the block's mask.
+The suite adds two hooks to the scan, statement I's smooth-containment
+witnesses, read off the mask where the smooth mask is false, and the IV/V
+set equality, and its checks read counts and ratio rows off the tallies; the
+VII/VIII limsup checks read the final row, and the rows at k = 2**j show the
+climb.
 Statement VI walks Pascal's triangle once, `convergence.pascal_distances`,
 and each eps thresholds that one table of |N(n) - 2|; its counts at the
 suite's checkpoints feed the same decay verdict as II to V.
@@ -37,7 +40,7 @@ Statement identifiers (I .. VIII) index the suite's own checklist:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,8 +75,6 @@ DEFAULT_EPS_GRID = (0.25, 0.5, 1.0)
 # omega-family sets appear only beyond ~exp(exp(2)) once eps > 1/2).
 _REMARK_BAR = 0.80
 _REMARK_BLOCKING_MAX_EPS = 0.5
-# resolution for the streamed trend statistic: k-buckets per doubling of k
-_TREND_SUB = 64
 
 # statement -> the (sequence key, prime) pairs it adds to the shared scan,
 # and for the statements checked against an envelope and a decay verdict,
@@ -138,63 +139,6 @@ class SuiteReport:
         return records
 
 
-def _bucket_table() -> tuple[np.ndarray, np.ndarray]:
-    """Each trend bucket floor(log2(k) * _TREND_SUB), in float64, that holds
-    a k in [1, 2**62], and its first k.  The formula rises with k, and bucket
-    b starts within one of 2**(b / _TREND_SUB), so it is evaluated at three
-    integers there.  Below k = 93 some buckets hold no integer and are left
-    out.  Each first k is exact below 2**48, where float64 log2 still tells
-    neighbouring k apart."""
-    bs = np.arange(1, 62 * _TREND_SUB + 1)
-    c = np.ceil(np.exp2(bs / _TREND_SUB)).astype(np.int64)
-    near = (c[:, None] + np.arange(-1, 2)).astype(np.float64)
-    first = c - 1 + (np.floor(np.log2(near) * _TREND_SUB) < bs[:, None]).sum(axis=1)
-    held = first < np.append(first[1:], 2**62 + 1)
-    return np.r_[0, bs[held]], np.r_[1, first[held]]
-
-
-_BUCKETS, _FIRSTS = _bucket_table()
-
-
-@dataclass
-class _TrendTally(Tally):
-    """A tally that also keeps the peak of log k / log n_k in each geometric
-    k-bucket, for the decade peak step that statements VII and VIII report.
-    `peaks[i]` is the peak of bucket `_BUCKETS[i]`, -1 while it is empty."""
-
-    peaks: np.ndarray = field(default_factory=lambda: np.full(len(_BUCKETS), -1.0))
-
-    def absorb(self, members: np.ndarray, upto: int, ln_members: np.ndarray) -> None:
-        """`Tally.absorb`, given also the members' logs, which the block has."""
-        m = len(members)
-        if m:
-            k0 = self.total + 1
-            ratios = np.log(np.arange(k0, k0 + m, dtype=np.float64)) / ln_members
-            # the buckets of k0 .. k0 + m - 1; the first may start before k0
-            i0, i1 = np.searchsorted(_FIRSTS, [k0, k0 + m - 1], side="right")
-            starts = np.maximum(_FIRSTS[i0 - 1 : i1] - k0, 0)
-            held = self.peaks[i0 - 1 : i1]
-            np.maximum(held, np.maximum.reduceat(ratios, starts), out=held)
-        super().absorb(members, upto)
-
-    def peak_step(self) -> float | None:
-        """Final-decade peak of log k / log n_k minus the previous decade's.
-
-        A limsup statement pins the envelope of the curve's peaks, so this is
-        the finite trend indicator; None when the range is under two decades.
-        """
-        if self.total < 100:
-            return None
-        b_hi = math.log2(self.total) * _TREND_SUB
-        # the final decade's buckets start at b_cur, the one before's at b_prev
-        b_cur = b_hi - _TREND_SUB * math.log2(10)
-        b_prev = b_hi - 2 * _TREND_SUB * math.log2(10)
-        # each decade holds a member: k = total, and the k in [total/100, total/10)
-        cur = self.peaks[b_cur <= _BUCKETS].max()
-        prev = self.peaks[(b_prev <= _BUCKETS) & (_BUCKETS < b_cur)].max()
-        return float(cur - prev)
-
-
 def _count_bound(x: int, primes: list[int]) -> float:
     return math.prod(math.log(x) / math.log(p) + 1 for p in primes)
 
@@ -232,7 +176,7 @@ def _envelope_check(
     )
 
 
-def _limsup_check(label: str, tally: _TrendTally, eps: float) -> CheckResult:
+def _limsup_check(label: str, tally: Tally, eps: float) -> CheckResult:
     rows = tally.final_rows()
     blocking = eps <= _REMARK_BLOCKING_MAX_EPS
     if not rows:
@@ -244,18 +188,13 @@ def _limsup_check(label: str, tally: _TrendTally, eps: float) -> CheckResult:
         )
     final = rows[-1].ratio
     ok = final >= _REMARK_BAR
-    # The peak step is reported but never blocks: the curve scallops where
-    # the membership threshold crosses an integer, so whether one decade's
-    # peak tops the last depends on where the scan happens to stop.
-    step = tally.peak_step()
-    trend = f"; decade peak step {step:+.4f}" if step is not None else ""
     return CheckResult(
         name=f"limsup[{label}]",
         passed=ok or not blocking,
         blocking=blocking,
         details=(
             f"log k/log n_k reaches {final:.3f} at k={rows[-1].k} "
-            f"(bar {_REMARK_BAR:g}){trend}"
+            f"(bar {_REMARK_BAR:g})"
         ),
         rows=tuple({"k": r.k, "member": r.member, "ratio": r.ratio} for r in rows),
     )
@@ -309,11 +248,10 @@ def statement_suite(
 
     # one tally per (sequence, eps) and one per smooth bound
     tallies: dict[tuple[str, float], Tally] = {}
-    for sid, specs in scan.items():
-        kind = _TrendTally if sid in ("VII", "VIII") else Tally
+    for specs in scan.values():
         for spec in specs:
             for eps in eps_grid:
-                tallies[(spec.label, eps)] = kind(cps)
+                tallies[(spec.label, eps)] = Tally(cps)
     smooth = {b: Tally(cps) for b in bounds}
     violations: dict[float, list[tuple[int, float]]] = {eps: [] for eps in eps_grid}
     # the first member of one IV/V set that the other lacks
@@ -321,29 +259,26 @@ def statement_suite(
 
     pairs = [(spec, eps) for sp in scan.values() for spec in sp for eps in eps_grid]
     for stats, hits in exceptional_scan(pairs, limit, bounds):
-        # members are taken by index: n = lo + index
+        # a mask indexes the block: its members are n = lo + index
+        lo, hi = stats.lo, stats.hi
         for b, tally in smooth.items():
-            tally.absorb(np.flatnonzero(stats.smooth_ok[b]) + stats.lo, stats.hi)
-        gamma_members: dict[float, np.ndarray] = {}
-        for spec, eps, idx, dev in hits:
-            members = idx + stats.lo
-            tally = tallies[(spec.label, eps)]
-            if isinstance(tally, _TrendTally):
-                tally.absorb(members, stats.hi, stats.ln_n[idx])
-            else:
-                tally.absorb(members, stats.hi)
+            tally.absorb_mask(stats.smooth_ok[b], lo, hi)
+        # gamma's members by index, taken before tau's pair reuses the mask
+        gamma_idx: dict[float, np.ndarray] = {}
+        for spec, eps, mask, dev in hits:
+            tallies[(spec.label, eps)].absorb_mask(mask, lo, hi)
             if spec.key == "min_exponent_over_log":
                 b = smooth_bounds[eps]
-                bad = idx if b is None else idx[~stats.smooth_ok[b][idx]]
                 vio = violations[eps]  # dev is x_n itself, as L = 0
-                if len(bad) and len(vio) < 5:
-                    vio += [(stats.lo + int(i), float(dev[i])) for i in bad[:5]]
+                if len(vio) < 5:
+                    bad = mask if b is None else mask & ~stats.smooth_ok[b]
+                    vio += [(lo + int(i), float(dev[i])) for i in np.flatnonzero(bad)[:5]]
             elif spec.key == "power_rep_count":
-                gamma_members[eps] = members
-            elif spec.key == "power_rep_weight" and eps in gamma_members:
-                diff = np.setxor1d(gamma_members[eps], members)
+                gamma_idx[eps] = np.flatnonzero(mask)
+            elif spec.key == "power_rep_weight" and eps in gamma_idx:
+                diff = np.setxor1d(gamma_idx[eps], np.flatnonzero(mask))
                 if len(diff) and eq_witness[eps] is None:
-                    eq_witness[eps] = int(diff[0])
+                    eq_witness[eps] = lo + int(diff[0])
 
     vi_checks = (
         _statement_vi_checks(eps_grid, limit, cps, pascal_check_limit)

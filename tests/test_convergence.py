@@ -157,8 +157,8 @@ def test_prime_valuation_tie_at_eps_one_is_exact():
     specs = {p: sequence_spec("valuation_scaled", p=p) for p in primes}
     got = {p: [] for p in primes}
     for stats, hits in exceptional_scan([(s, 1.0) for s in specs.values()], limit):
-        for spec, _, idx, _ in hits:
-            got[spec.p] += (idx + stats.lo).tolist()
+        for spec, _, mask, _ in hits:
+            got[spec.p] += (np.flatnonzero(mask) + stats.lo).tolist()
     for p in primes:
         want = [p**k for k in range(1, 30) if p**k <= limit]
         assert got[p] == want, p
@@ -223,16 +223,19 @@ def test_collected_members_equal_blocks_taken_one_at_a_time():
 
 
 def test_scan_buffers_hold_each_block_and_spec():
-    # dev and the logs, read while they are valid, equal fresh arrays
+    # dev, the mask and the logs, read while they are valid, equal fresh arrays
     pairs = [(spec, eps) for spec in _LOG_SPECS for eps in (0.25, 1.0)]
     for stats, hits in exceptional_scan(pairs, 3 * 10**5, block_size=4097):
         fresh_ln = np.log(stats.n.astype(np.float64))
-        for spec, eps, idx, dev in hits:
+        for spec, eps, mask, dev in hits:
             np.testing.assert_array_equal(stats.ln_n, fresh_ln)
             np.testing.assert_array_equal(stats.lnln_n, np.log(fresh_ln))
             want = convergence_mod.deviation(spec, stats)
             np.testing.assert_array_equal(dev, want, err_msg=spec.label)
-            np.testing.assert_array_equal(idx, np.flatnonzero(want >= eps))
+            np.testing.assert_array_equal(mask, want >= eps)
+            np.testing.assert_array_equal(
+                np.flatnonzero(mask), np.flatnonzero(want >= eps)
+            )
 
 
 def test_exceptional_eps_validation():
@@ -378,6 +381,96 @@ def test_remark_limsup_empty_set():
 def test_remark_limsup_ratio_climbs():
     rep = remark_limsup(sequence_spec("omega_over_loglog"), 0.5, 100_000)
     assert rep.rows[-1].ratio >= 0.8
+
+
+# ---------------------------------------------------------------------------
+# the count-only path of a tally
+# ---------------------------------------------------------------------------
+
+
+def _block_case(tally, mask, upto) -> str:
+    """Which of the paths of `Tally.absorb_mask` a block takes."""
+    cps, m = tally.checkpoints, int(np.count_nonzero(mask))
+    pending = len(tally.counts) < len(cps) and cps[len(tally.counts)] < upto
+    rank = (1 << len(tally.rows)) <= tally.total + m
+    if pending:
+        return "both" if rank else "checkpoint"
+    return "rank" if rank else "neither"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_absorb_mask_equals_absorb_of_listed_members(seed):
+    rng = np.random.default_rng(seed)
+    lo, size = 3, int(rng.integers(2000, 200_000))
+    mask = rng.random(size) < rng.uniform(0.01, 0.95)
+    # an all-false block [a, mid) and an all-true block [mid, b)
+    a, b = np.sort(rng.integers(0, size, 2)).tolist()
+    mid = (a + b) // 2
+    mask[a:mid], mask[mid:b] = False, True
+    members = np.flatnonzero(mask)
+    rank_at = [int(members[2**j - 1]) for j in range(30) if 2**j <= len(members)]
+    # random checkpoints, and one at the member of a rank k = 2**j
+    cps = {*(rng.integers(0, size, 12) + lo).tolist(), int(rng.choice(rank_at)) + lo}
+    cps = sorted(cps)
+    # random edges, a block of one rank's member alone and one of a checkpoint
+    # alone; the repeated first edge makes a zero-length block
+    i, x = int(rng.choice(rank_at)), int(rng.choice(cps)) - lo
+    edges = {0, size, a, mid, b, i, i + 1, x, x + 1, *rng.integers(0, size, 30).tolist()}
+    edges = [0, *sorted(edges)]
+    by_mask = convergence_mod.Tally(tuple(cps))
+    by_list = convergence_mod.Tally(tuple(cps))
+    cases = set()
+    for s0, s1 in zip(edges, edges[1:]):
+        block, upto = mask[s0:s1], lo + s1
+        cases.add(_block_case(by_mask, block, upto))
+        cases.add("empty" if not block.any() else "full" if block.all() else "mixed")
+        by_mask.absorb_mask(block, lo + s0, upto)
+        by_list.absorb(np.flatnonzero(block) + lo + s0, upto)
+        assert by_mask == by_list, (s0, s1)
+    assert cases >= {"both", "checkpoint", "rank", "neither", "empty", "full"}
+    for tally in (by_mask, by_list):
+        tally.absorb(np.empty(0, dtype=np.int64), lo + size + 1)
+    assert by_mask == by_list and len(by_mask.counts) == len(cps)
+    assert by_mask.total == len(members) and by_mask.last_member == members[-1] + lo
+    assert by_mask.final_rows() == by_list.final_rows()
+
+
+def _listed_report(spec, eps, limit, xs):
+    """A(x) at xs, and the rows at k = 1, 2, 4, ... and the final member, from
+    the members that `exceptional_members` lists."""
+    members = np.concatenate(
+        [np.empty(0, dtype=np.int64), *exceptional_members(spec, eps, limit)]
+    ).tolist()
+    ks = [2**j for j in range(64) if 2**j <= len(members)]
+    if members and ks[-1] != len(members):
+        ks.append(len(members))
+    rows = [(k, members[k - 1], math.log(k) / math.log(members[k - 1])) for k in ks]
+    counts = [sum(n <= x for n in members) for x in xs]
+    return counts, rows, len(members)
+
+
+@pytest.mark.parametrize("size", [1, 7, 4097])
+def test_count_and_limsup_reports_equal_listed_members(monkeypatch, size):
+    def sized(*args, **kwargs):
+        yield from iter_blocks(*args, **{**kwargs, "block_size": size})
+
+    monkeypatch.setattr(convergence_mod, "iter_blocks", sized)
+    limit = 2000 if size < 100 else 30_000
+    cp = Checkpoints((2, 3, 17, 64, 100, 1000, limit))
+    for spec, eps in (
+        (sequence_spec("bigomega_over_loglog"), 0.25),
+        (sequence_spec("omega_over_loglog"), 0.5),
+        (sequence_spec("valuation_scaled", p=3), 0.5),
+        (GAMMA, 0.5),
+        (H_MIN, 0.25),
+        (H_MIN, 2.0),
+    ):
+        counts, rows, total = _listed_report(spec, eps, limit, cp.values)
+        rep = count_report(spec, eps, cp, envelope=False)
+        assert [r.count for r in rep.rows] == counts, (spec.label, eps)
+        limsup = remark_limsup(spec, eps, limit)
+        assert limsup.total == total, (spec.label, eps)
+        assert [(r.k, r.member, r.ratio) for r in limsup.rows] == rows, (spec.label, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -571,106 +664,6 @@ def test_statement_suite_walks_pascal_once(monkeypatch):
     assert at_half[0] == at_half[1]
     agree = [r for r in records[(0.5, 2.0, 3.0)] if r["check"] == "membership-agreement"]
     assert len(agree) == 3 and all(r["passed"] for r in agree)
-
-
-def _per_member_trend_peaks(blocks) -> dict[int, float]:
-    """The peaks of `_TrendTally`, bucketed member by member: the absorb that
-    the k-threshold buckets replaced."""
-    peaks: dict[int, float] = {}
-    total = 0
-    for members, ln_members in blocks:
-        m = len(members)
-        if m:
-            ks = np.arange(total + 1, total + m + 1, dtype=np.float64)
-            ratios = np.log(ks) / ln_members
-            buckets = np.floor(np.log2(ks) * suite_mod._TREND_SUB).astype(np.int64)
-            starts = np.flatnonzero(np.r_[True, buckets[1:] != buckets[:-1]])
-            for b, r in zip(buckets[starts], np.maximum.reduceat(ratios, starts)):
-                if r > peaks.get(int(b), -1.0):
-                    peaks[int(b)] = float(r)
-        total += m
-    return peaks
-
-
-def test_bucket_starts_equal_per_member_buckets_to_2e6():
-    top = 2 * 10**6
-    buckets = np.floor(np.log2(np.arange(1, top + 1.0)) * suite_mod._TREND_SUB)
-    firsts = np.flatnonzero(np.r_[True, buckets[1:] != buckets[:-1]])
-    below = suite_mod._FIRSTS <= top
-    assert suite_mod._BUCKETS[below].tolist() == buckets[firsts].tolist()
-    assert suite_mod._FIRSTS[below].tolist() == (firsts + 1).tolist()
-    # the table's end: the bucket of 2**62, every first k inside its bucket,
-    # and the k just below a first k in an earlier bucket while k < 2**48
-    b, k = suite_mod._BUCKETS, suite_mod._FIRSTS
-    assert b[-1] == 62 * suite_mod._TREND_SUB and k[-1] < 2**62
-    assert (np.diff(b) > 0).all() and (np.diff(k) > 0).all()
-
-    def bucket(ks):
-        return np.floor(np.log2(ks.astype(np.float64)) * suite_mod._TREND_SUB)
-
-    assert (bucket(k) == b).all()
-    exact = k < 2**48
-    assert exact.sum() > 2700 and (bucket(k[exact][1:] - 1) < b[exact][1:]).all()
-
-
-def _held_peaks(tally) -> dict[int, float]:
-    held = tally.peaks >= 0
-    return dict(zip(suite_mod._BUCKETS[held].tolist(), tally.peaks[held].tolist()))
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_trend_peaks_equal_per_member_buckets(seed):
-    rng = np.random.default_rng(seed)
-    limit = int(rng.integers(10**3, 10**6))
-    members = np.flatnonzero(rng.random(limit) < rng.uniform(0.01, 0.95)) + 3
-    edges = rng.integers(0, len(members) + 1, int(rng.integers(0, 40))).tolist()
-    # the member at index i has k = i + 1.  k = 1 alone; a one-member block
-    # at a bucket's first k f, then a block from f + 1; a one-member block
-    # one past another first k g, in the sparse buckets below 93 for even seeds
-    firsts = suite_mod._FIRSTS[suite_mod._FIRSTS < len(members)]
-    f = int(rng.choice(firsts[firsts > 93]))
-    g = int(rng.choice(firsts[firsts <= 93] if seed % 2 == 0 else firsts))
-    edges = sorted([*edges, 1, f - 1, f, g, g + 1])
-    blocks = [(b, np.log(b.astype(np.float64))) for b in np.split(members, edges)]
-    assert [len(b) for b, _ in blocks].count(1) >= 3
-    tally = suite_mod._TrendTally()
-    upto = 3
-    for block, ln_block in blocks:
-        upto = int(block[-1]) + 1 if len(block) else upto
-        tally.absorb(block, upto, ln_block)
-    assert tally.total == len(members)
-    assert _held_peaks(tally) == _per_member_trend_peaks(blocks)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2, 3, 129, 257])
-def test_peak_step_equals_per_member_decade_maxima(seed):
-    rng = np.random.default_rng(100 + seed)
-    limit = int(rng.integers(10**4, 2 * 10**6))
-    members = np.flatnonzero(rng.random(limit) < rng.uniform(0.01, 0.95)) + 3
-    if seed > 3:
-        # n_k = k + 1 up to k = seed, then n_k = k**2: a decade's peak sits
-        # in its lowest bucket, 448 (k = 128, 129) or 512 (k = 256, 257)
-        members = np.r_[2 : seed + 2, np.arange(seed + 1, 30_000) ** 2]
-    # at these totals a decade's bound is a whole bucket: b_cur = 448 at 1280
-    # members, b_prev = 512 at 25600
-    totals = [t for t in (99, 100, 160, 1280, 25600) if t < len(members)]
-    for total in [*totals, len(members)]:
-        head = members[:total]
-        tally = suite_mod._TrendTally()
-        for block in np.split(head, np.sort(rng.integers(0, total + 1, 30))):
-            tally.absorb(block, int(head[-1]) + 1, np.log(block.astype(np.float64)))
-        if total < 100:  # under two decades there is no step
-            assert tally.peak_step() is None
-            continue
-        ks = np.arange(1, total + 1, dtype=np.float64)
-        ratios = np.log(ks) / np.log(head.astype(np.float64))
-        buckets = np.floor(np.log2(ks) * suite_mod._TREND_SUB)
-        b_hi = math.log2(total) * suite_mod._TREND_SUB
-        b_cur = b_hi - suite_mod._TREND_SUB * math.log2(10)
-        b_prev = b_hi - 2 * suite_mod._TREND_SUB * math.log2(10)
-        cur = ratios[b_cur <= buckets].max()
-        prev = ratios[(b_prev <= buckets) & (buckets < b_cur)].max()
-        assert tally.peak_step() == cur - prev, total
 
 
 def test_suite_records_independent_of_block_size(monkeypatch):
