@@ -476,7 +476,8 @@ class Tally:
         if pending or (1 << len(self.rows)) <= self.total + m:
             self.absorb(np.flatnonzero(mask) + lo, upto)
         elif m:
-            self.last_member = lo + len(mask) - 1 - int(np.argmax(mask[::-1]))
+            # the last true byte; argmax over mask[::-1] would copy the mask
+            self.last_member = lo + mask.tobytes().rfind(1)
             self.total += m
 
     def final_rows(self) -> list[RatioRow]:

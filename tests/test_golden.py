@@ -12,9 +12,10 @@ written from the per-prime sieve sweep, at commit 29867fe, and the
 commit 4690f5d, and the two classify files at q = 0.5 and 0.25, written from
 the `DecayPolicy` dataclass, at commit ad92edc, and the `verify --suite VI`
 file at eps 3 and 4, written from VI's verdict on the suite's checkpoints,
-at commit 27dc90d, and `suite_rows_1e5.json`, the suite's records at 10**5
-with the rows of each check, written from the per-window trend bucket
-starts, at commit ae25cb4, with
+at commit 27dc90d.  `suite_rows_1e5.json` holds the suite's records at
+10**5 with the rows of each check.  It, `verify.json` and `verify_1e6.json`
+were last written, from the tallies fed block masks and without the VII/VIII
+decade peak step, at commit 3944999.  Each file is written with
 
     PYTHONPATH=src python tests/test_golden.py [NAME...]
 
