@@ -574,6 +574,25 @@ def test_statement_i_containment_fails_with_its_witnesses(monkeypatch):
     )
 
 
+def test_set_equality_names_the_first_differing_member(monkeypatch):
+    # with sigma(6) read as 1, the sixth powers 64, 729, ... leave tau's set
+    # and stay in gamma's; in blocks of 50 from n = 2, 64 is at index 12 of
+    # the second block
+    table = convergence_mod._SIGMA_SMALL.copy()
+    table[6] = 1.0
+    monkeypatch.setattr(convergence_mod, "_SIGMA_SMALL", table)
+
+    def sized(*args, **kwargs):
+        yield from iter_blocks(*args, **{**kwargs, "block_size": 50})
+
+    monkeypatch.setattr(convergence_mod, "iter_blocks", sized)
+    rep = statement_suite(10**4, eps_grid=(0.5,), statements=("IV", "V"))
+    for res in rep.results:
+        (eq,) = [c for c in res.checks if c.name == "set-equality"]
+        assert not eq.passed and eq.blocking
+        assert eq.details.endswith("; first differing member 64")
+
+
 def test_suite_validation():
     with pytest.raises(InvalidArgumentError):
         statement_suite(5_000)  # needs at least four decades
