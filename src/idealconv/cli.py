@@ -35,7 +35,7 @@ from .convergence import (
     sequence_values,
 )
 from .errors import DataFormatError, InsufficientDataError, InvalidArgumentError
-from .exponent import Verdict, classify_leq, classify_less, estimate_lambda
+from .exponent import POLICY, Verdict, classify_leq, classify_less, estimate_lambda
 from .sets import (
     Checkpoints,
     IntegerSet,
@@ -325,7 +325,7 @@ def _cmd_classify(args) -> int:
     head = [
         f"verdict: {verdict.verdict.value} for exponent "
         f"{'<=' if args.ideal == 'leq' else '<'} {args.q:g}{verdict.witness_note}",
-        f"policy: {verdict.notes[0]}",
+        f"policy: {POLICY}",
     ]
     _emit(
         args,
@@ -338,7 +338,7 @@ def _cmd_classify(args) -> int:
             "q": args.q,
             "verdict": verdict.verdict.value,
             "delta_used": verdict.delta_used,
-            "policy": verdict.notes[0],
+            "policy": POLICY,
         },
     )
     return _EXIT_BY_VERDICT[verdict.verdict]

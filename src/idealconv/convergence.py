@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import arith
-from .bulk import BLOCK, PRIME_BOUND_CAP, BlockStats, iter_blocks, small_primes
+from .bulk import PRIME_BOUND_CAP, BlockStats, iter_blocks, small_primes
 from .errors import InvalidArgumentError
 from .sets import Checkpoints, IntegerSet
 
@@ -226,7 +226,6 @@ def exceptional_scan(
     pairs: Iterable[tuple[SequenceSpec, float]],
     limit: int,
     smooth_bounds: tuple[int, ...] = (),
-    block_size: int = BLOCK,
 ) -> Iterator[tuple[BlockStats, Iterator[tuple]]]:
     """One sieve pass over [start, limit] for the exceptional sets of the
     (spec, eps) pairs, where start is the least start_n among the specs.
@@ -264,7 +263,6 @@ def exceptional_scan(
         frozenset().union(*(SEQUENCE_KEYS[s.key][2] for s in by_spec)),
         ap_primes=tuple(sorted({s.p for s in by_spec if s.p is not None})),
         smooth_bounds=smooth_bounds,
-        block_size=block_size,
         start=min(s.start_n for s in by_spec),
     ):
         size = stats.hi - stats.lo
@@ -274,7 +272,7 @@ def exceptional_scan(
 
 
 def exceptional_members(
-    spec: SequenceSpec, eps: float, limit: int, block_size: int = BLOCK
+    spec: SequenceSpec, eps: float, limit: int
 ) -> Iterator[np.ndarray]:
     """Members of the exceptional set in [start_n, limit], one sorted array
     per sieve block of `exceptional_scan` (the Pascal count's members are
@@ -286,7 +284,7 @@ def exceptional_members(
         if len(members):
             yield members
         return
-    for stats, hits in exceptional_scan(((spec, eps),), limit, block_size=block_size):
+    for stats, hits in exceptional_scan(((spec, eps),), limit):
         for *_, mask, _ in hits:
             idx = np.flatnonzero(mask)
             if len(idx):

@@ -15,15 +15,15 @@ A finite table of ratios can never witness a limit, so verdicts follow fixed
 decay rules: a series counts as vanishing when its final window is
 nonincreasing and it has either dropped below `_DROP_FACTOR` times its
 starting value or sustained a log-log decay rate of at least
-`_RATE_FRACTION * delta`.  Every verdict records these rules (`POLICY`) and
-the evidence rows it was based on, and verdicts may be INDETERMINATE.
+`_RATE_FRACTION * delta`.  `POLICY` states these rules, every verdict
+records the evidence rows it was based on, and verdicts may be INDETERMINATE.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -229,7 +229,6 @@ class IdealVerdict:
     verdict: Verdict
     delta_used: float | None
     evidence: tuple[EvidenceRow, ...]
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def witness_note(self) -> str:
@@ -331,7 +330,6 @@ def classify_rows(
         verdict=verdict,
         delta_used=None if at_most or not decayed else decayed[0],
         evidence=tuple(evidence),
-        notes=(POLICY,),
     )
 
 

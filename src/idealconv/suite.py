@@ -9,11 +9,13 @@ how many statements and tolerances are enabled.  That pass is
 `convergence.exceptional_scan`, the generator that feeds every tally of the
 package: here one `convergence.Tally` per (sequence, eps), and one per
 smooth bound of statement I from the same blocks, each fed the block's mask.
-The suite adds two hooks to the scan, statement I's smooth-containment
-witnesses, read off the mask where the smooth mask is false, and the IV/V
-set equality, and its checks read counts and ratio rows off the tallies; the
-VII/VIII limsup checks read the final row, and the rows at k = 2**j show the
-climb.
+The suite adds two hooks to the scan.  Statement I's smooth-containment
+witnesses are the first five members where the smooth mask is false, listed
+only from a block that holds one.  The IV/V set equality is one more
+`Tally` per eps, fed the mask gamma != tau: it holds when that tally counts
+no member, and its first row names the first differing member.  The checks
+read counts and ratio rows off the tallies; the VII/VIII limsup checks read
+the final row, and the rows at k = 2**j show the climb.
 Statement VI walks Pascal's triangle once, `convergence.pascal_distances`,
 and each eps thresholds that one table of |N(n) - 2|; its counts at the
 suite's checkpoints feed the same decay verdict as II to V.
@@ -57,7 +59,7 @@ from .convergence import (
     smooth_bound_for,
 )
 from .errors import InvalidArgumentError
-from .exponent import Ideal, Verdict, classify_rows
+from .exponent import POLICY, Ideal, Verdict, classify_rows
 from .sets import Checkpoints
 
 __all__ = [
@@ -149,7 +151,7 @@ def _verdict_check(name: str, verdict_obj) -> CheckResult:
         passed=verdict_obj.verdict is Verdict.CONSISTENT,
         blocking=True,
         details=f"verdict={verdict_obj.verdict.value} at q={verdict_obj.q:g}"
-        f"{verdict_obj.witness_note}; " + verdict_obj.notes[0],
+        f"{verdict_obj.witness_note}; " + POLICY,
         rows=tuple(
             {"delta": r.delta, "x": r.x, "count": r.count, "ratio": r.ratio}
             for r in verdict_obj.evidence
@@ -254,17 +256,18 @@ def statement_suite(
                 tallies[(spec.label, eps)] = Tally(cps)
     smooth = {b: Tally(cps) for b in bounds}
     violations: dict[float, list[tuple[int, float]]] = {eps: [] for eps in eps_grid}
-    # the first member of one IV/V set that the other lacks
-    eq_witness: dict[float, int | None] = {eps: None for eps in eps_grid}
+    # per eps, the members of one IV/V set that the other lacks
+    differ = {eps: Tally() for eps in eps_grid} if {"IV", "V"} <= set(stmts) else {}
+    gamma = None  # gamma's masks, one buffer per eps that every block reuses
 
     pairs = [(spec, eps) for sp in scan.values() for spec in sp for eps in eps_grid]
     for stats, hits in exceptional_scan(pairs, limit, bounds):
         # a mask indexes the block: its members are n = lo + index
         lo, hi = stats.lo, stats.hi
+        if gamma is None:  # no later block is larger than the first
+            gamma = {eps: np.empty(hi - lo, dtype=bool) for eps in differ}
         for b, tally in smooth.items():
             tally.absorb_mask(stats.smooth_ok[b], lo, hi)
-        # gamma's members by index, taken before tau's pair reuses the mask
-        gamma_idx: dict[float, np.ndarray] = {}
         for spec, eps, mask, dev in hits:
             tallies[(spec.label, eps)].absorb_mask(mask, lo, hi)
             if spec.key == "min_exponent_over_log":
@@ -272,13 +275,14 @@ def statement_suite(
                 vio = violations[eps]  # dev is x_n itself, as L = 0
                 if len(vio) < 5:
                     bad = mask if b is None else mask & ~stats.smooth_ok[b]
-                    vio += [(lo + int(i), float(dev[i])) for i in np.flatnonzero(bad)[:5]]
-            elif spec.key == "power_rep_count":
-                gamma_idx[eps] = np.flatnonzero(mask)
-            elif spec.key == "power_rep_weight" and eps in gamma_idx:
-                diff = np.setxor1d(gamma_idx[eps], np.flatnonzero(mask))
-                if len(diff) and eq_witness[eps] is None:
-                    eq_witness[eps] = lo + int(diff[0])
+                    if bad.any():
+                        vio += [(lo + int(i), float(dev[i])) for i in np.flatnonzero(bad)[:5]]
+            elif differ and spec.key == "power_rep_count":
+                # copied before tau's pair reuses the scan's mask buffer
+                np.copyto(gamma[eps][: hi - lo], mask)
+            elif differ and spec.key == "power_rep_weight":
+                g = gamma[eps][: hi - lo]
+                differ[eps].absorb_mask(np.not_equal(g, mask, out=g), lo, hi)
 
     vi_checks = (
         _statement_vi_checks(eps_grid, limit, cps, pascal_check_limit)
@@ -303,16 +307,13 @@ def statement_suite(
                     tag = f"[p={spec.p}]" if spec.p is not None else ""
                     v = classify_rows(ideal, spec.label, q, xs, counts)
                     checks += [env, _verdict_check(f"ideal-fit{tag}", v)]
-                if sid in ("IV", "V") and "IV" in stmts and "V" in stmts:
-                    wit = (
-                        f"; first differing member {eq_witness[eps]}"
-                        if eq_witness[eps] is not None
-                        else ""
-                    )
+                if sid in ("IV", "V") and differ:
+                    diff = differ[eps]
+                    wit = f"; first differing member {diff.rows[0].member}" if diff.total else ""
                     checks.append(
                         CheckResult(
                             name="set-equality",
-                            passed=eq_witness[eps] is None,
+                            passed=diff.total == 0,
                             blocking=True,
                             details="count and weight exceptional sets coincide" + wit,
                         )

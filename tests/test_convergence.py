@@ -34,6 +34,15 @@ PASCAL = sequence_spec("pascal_count")
 H_MIN = sequence_spec("min_exponent_over_log")
 
 
+def _in_blocks_of(monkeypatch, size):
+    """Run every scan of `convergence` in sieve blocks of `size` integers."""
+
+    def sized(*args, **kwargs):
+        yield from iter_blocks(*args, **{**kwargs, "block_size": size})
+
+    monkeypatch.setattr(convergence_mod, "iter_blocks", sized)
+
+
 # ---------------------------------------------------------------------------
 # sequence specs
 # ---------------------------------------------------------------------------
@@ -182,21 +191,12 @@ def test_monotone_in_eps():
             assert a_narrow.count(x) <= a_wide.count(x)
 
 
-def test_members_independent_of_block_size():
-    one = [int(v) for b in exceptional_members(GAMMA, 0.5, 20_000, block_size=64) for v in b]
-    two = [int(v) for b in exceptional_members(GAMMA, 0.5, 20_000) for v in b]
-    assert one == two
-    spec = sequence_spec("omega_over_loglog")
-    one = [int(v) for b in exceptional_members(spec, 0.5, 20_000, block_size=999) for v in b]
-    two = [int(v) for b in exceptional_members(spec, 0.5, 20_000) for v in b]
-    assert one == two
-
-
-@pytest.mark.parametrize("size", [0, -5])
-def test_members_reject_block_size_below_one(size):
-    # -5 used to give an empty set without a word
-    with pytest.raises(InvalidArgumentError, match="block size"):
-        list(exceptional_members(H_MIN, 0.25, 10_000, block_size=size))
+def test_members_independent_of_block_size(monkeypatch):
+    for spec, size in ((GAMMA, 64), (sequence_spec("omega_over_loglog"), 999)):
+        want = [int(v) for b in exceptional_members(spec, 0.5, 20_000) for v in b]
+        _in_blocks_of(monkeypatch, size)
+        assert [int(v) for b in exceptional_members(spec, 0.5, 20_000) for v in b] == want
+        monkeypatch.undo()
 
 
 _LOG_SPECS = [
@@ -211,21 +211,23 @@ _LOG_SPECS = [
 ]
 
 
-def test_collected_members_equal_blocks_taken_one_at_a_time():
+def test_collected_members_equal_blocks_taken_one_at_a_time(monkeypatch):
     # the scan reuses its deviation and log buffers; the member arrays it
     # yields are the caller's
+    _in_blocks_of(monkeypatch, 4097)
     for spec in _LOG_SPECS:
-        one = [b.copy() for b in exceptional_members(spec, 0.5, 3 * 10**5, block_size=4097)]
-        kept = list(exceptional_members(spec, 0.5, 3 * 10**5, block_size=4097))
+        one = [b.copy() for b in exceptional_members(spec, 0.5, 3 * 10**5)]
+        kept = list(exceptional_members(spec, 0.5, 3 * 10**5))
         assert len(kept) == len(one) > 1, spec.label
         for got, want in zip(kept, one):
             np.testing.assert_array_equal(got, want, err_msg=spec.label)
 
 
-def test_scan_buffers_hold_each_block_and_spec():
+def test_scan_buffers_hold_each_block_and_spec(monkeypatch):
     # dev, the mask and the logs, read while they are valid, equal fresh arrays
+    _in_blocks_of(monkeypatch, 4097)
     pairs = [(spec, eps) for spec in _LOG_SPECS for eps in (0.25, 1.0)]
-    for stats, hits in exceptional_scan(pairs, 3 * 10**5, block_size=4097):
+    for stats, hits in exceptional_scan(pairs, 3 * 10**5):
         fresh_ln = np.log(stats.n.astype(np.float64))
         for spec, eps, mask, dev in hits:
             np.testing.assert_array_equal(stats.ln_n, fresh_ln)
@@ -451,10 +453,7 @@ def _listed_report(spec, eps, limit, xs):
 
 @pytest.mark.parametrize("size", [1, 7, 4097])
 def test_count_and_limsup_reports_equal_listed_members(monkeypatch, size):
-    def sized(*args, **kwargs):
-        yield from iter_blocks(*args, **{**kwargs, "block_size": size})
-
-    monkeypatch.setattr(convergence_mod, "iter_blocks", sized)
+    _in_blocks_of(monkeypatch, size)
     limit = 2000 if size < 100 else 30_000
     cp = Checkpoints((2, 3, 17, 64, 100, 1000, limit))
     for spec, eps in (
@@ -559,38 +558,39 @@ def test_suite_vi_verdict_skipped_on_short_ranges(limit):
 
 def test_statement_i_containment_fails_with_its_witnesses(monkeypatch):
     # a smooth bound of 2 is too small at eps = 0.5: 3, 5, 6, 7 and 9 are
-    # members (h_min(n) / log n >= 0.5) that are not 2-smooth
+    # members (h_min(n) / log n >= 0.5) that are not 2-smooth; in blocks of
+    # 4 from n = 2 they lie in two blocks, 2..5 and 6..9
     monkeypatch.setattr(suite_mod, "smooth_bound_for", lambda eps: 2)
-    rep = statement_suite(10**5, eps_grid=(0.5,), statements=("I",))
-    assert not rep.passed
-    (res,) = rep.results
-    chk = {c.name: c for c in res.checks}["containment"]
-    assert not chk.passed and chk.blocking
-    assert [r["n"] for r in chk.rows] == [3, 5, 6, 7, 9]
-    assert chk.rows[0]["value"] == pytest.approx(1 / math.log(3))
-    assert chk.details.startswith(
-        "every member is 2-smooth (largest prime with 1/log p >= eps); "
-        "witnesses [(3, "
-    )
+    for size, limit in ((BLOCK, 10**5), (4, 10**4)):
+        _in_blocks_of(monkeypatch, size)
+        rep = statement_suite(limit, eps_grid=(0.5,), statements=("I",))
+        assert not rep.passed
+        (res,) = rep.results
+        chk = {c.name: c for c in res.checks}["containment"]
+        assert not chk.passed and chk.blocking
+        assert [r["n"] for r in chk.rows] == [3, 5, 6, 7, 9], size
+        assert chk.rows[0]["value"] == pytest.approx(1 / math.log(3))
+        assert chk.details.startswith(
+            "every member is 2-smooth (largest prime with 1/log p >= eps); "
+            "witnesses [(3, "
+        )
 
 
 def test_set_equality_names_the_first_differing_member(monkeypatch):
     # with sigma(6) read as 1, the sixth powers 64, 729, ... leave tau's set
-    # and stay in gamma's; in blocks of 50 from n = 2, 64 is at index 12 of
-    # the second block
+    # and stay in gamma's; from n = 2, 64 is the last entry of the ninth
+    # block of 7, at index 12 of the second block of 50, and in the first
+    # block of 4097 with 729 and 4096
     table = convergence_mod._SIGMA_SMALL.copy()
     table[6] = 1.0
     monkeypatch.setattr(convergence_mod, "_SIGMA_SMALL", table)
-
-    def sized(*args, **kwargs):
-        yield from iter_blocks(*args, **{**kwargs, "block_size": 50})
-
-    monkeypatch.setattr(convergence_mod, "iter_blocks", sized)
-    rep = statement_suite(10**4, eps_grid=(0.5,), statements=("IV", "V"))
-    for res in rep.results:
-        (eq,) = [c for c in res.checks if c.name == "set-equality"]
-        assert not eq.passed and eq.blocking
-        assert eq.details.endswith("; first differing member 64")
+    for size in (7, 50, 4097):
+        _in_blocks_of(monkeypatch, size)
+        rep = statement_suite(10**4, eps_grid=(0.5,), statements=("IV", "V"))
+        for res in rep.results:
+            (eq,) = [c for c in res.checks if c.name == "set-equality"]
+            assert not eq.passed and eq.blocking
+            assert eq.details.endswith("; first differing member 64"), size
 
 
 def test_suite_validation():

@@ -205,8 +205,9 @@ def test_classify_leq_validation():
 
 def test_verdict_records_policy_and_evidence():
     v = classify_leq(power_set(0.5), 0.5)
-    assert v.notes == (exponent.POLICY,)
-    assert "drop" in exponent.POLICY and "rate" in exponent.POLICY
+    # the policy string states the rules the verdicts apply
+    assert f"drop below {exponent._DROP_FACTOR:g} x start" in exponent.POLICY
+    assert f"rate >= {exponent._RATE_FRACTION:g} x delta" in exponent.POLICY
     assert len(v.evidence) > 0
     recs = v.to_records()
     assert {"set", "ideal", "q", "delta", "x", "count", "ratio", "verdict"} <= recs[0].keys()
