@@ -22,6 +22,7 @@ records the evidence rows it was based on, and verdicts may be INDETERMINATE.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -84,19 +85,33 @@ def _logs(values) -> np.ndarray:
     return np.fromiter(map(math.log, values), dtype=np.float64, count=len(values))
 
 
-def _slopes(prefix: list[int], start: int, stop: int) -> np.ndarray:
+# Tail windows whose index logs are kept, 8 bytes per index: one window per
+# (terms, tail_fraction) in use.
+_WINDOWS = 4
+
+
+@functools.lru_cache(maxsize=_WINDOWS)
+def _index_logs(start: int, stop: int) -> np.ndarray:
+    """log n for n in [start, stop), read-only: the logs of an estimate's
+    tail window, shared by every estimate over that window."""
+    logs = _logs(range(start, stop))
+    logs.flags.writeable = False
+    return logs
+
+
+def _slopes(prefix: list[int], start: int, log_n: np.ndarray) -> np.ndarray:
     """The clipped secant slopes of `estimate_lambda` at n in [start, stop),
-    2 <= start < stop <= len(prefix) + 1; logs are taken at these indices
-    and their isqrt anchors only."""
+    stop = start + len(log_n), from log_n = log n there;
+    2 <= start < stop <= len(prefix) + 1.  Logs are taken of the prefix at
+    these indices and of the isqrt anchors only."""
+    stop = start + len(log_n)
     lo0, hi0 = math.isqrt(start), math.isqrt(stop - 1) + 1
     # isqrt(n) - lo0; a float64 square root floors exactly below 2**52
     at0 = np.sqrt(np.arange(start, stop)).astype(np.int64) - lo0
     log_n0 = _logs(range(lo0, hi0))[at0]
     log_a0 = _logs(prefix[lo0 - 1 : hi0 - 1])[at0]
     den = _logs(prefix[start - 1 : stop - 1]) - log_a0
-    slope = np.divide(
-        _logs(range(start, stop)) - log_n0, den, out=np.ones_like(den), where=den > 0
-    )
+    slope = np.divide(log_n - log_n0, den, out=np.ones_like(den), where=den > 0)
     return np.clip(slope, 0.0, 1.0)
 
 
@@ -126,14 +141,15 @@ def estimate_lambda(
         )
     prefix = a.prefix(terms)
     lo = max(2, math.ceil((1 - tail_fraction) * terms))
+    log_n = _index_logs(lo, terms + 1)
     value = float(
         max(
-            _slopes(prefix, n, min(n + CHUNK, terms + 1)).max()
+            _slopes(prefix, n, log_n[n - lo : n - lo + CHUNK]).max()
             for n in range(lo, terms + 1, CHUNK)
         )
     )
     marks = [1 << k for k in range(1, (terms - 1).bit_length())] + [terms]
-    samples = [(n, float(_slopes(prefix, n, n + 1)[0])) for n in marks]
+    samples = [(n, float(_slopes(prefix, n, _logs((n,)))[0])) for n in marks]
 
     tail = [r for _, r in samples[-8:]]
     diffs = [b - a_ for a_, b in zip(tail, tail[1:])]

@@ -232,13 +232,29 @@ def power_set(s: float | Fraction) -> IntegerSet:
 
 
 def _power_chunks(den: int) -> Iterator[Chunk]:
-    """n**den for n >= 1, by chunks; int64 arrays while the values fit."""
+    """n**den for n >= 1, by chunks: int64 arrays while the values fit.
+    Past 2**63, with a the largest exponent that keeps the chunk's n**a
+    below 2**63, a chunk is the product of the int64 powers n**a, k times,
+    and n**r (den = k*a + r), as lists multiplied element by element; where
+    that takes more than two products, one power per term is faster."""
     for lo in itertools.count(1, CHUNK):
         hi = lo + CHUNK
+        n = np.arange(lo, hi, dtype=np.int64)
         if (hi - 1) ** den < 2**63:
-            yield np.arange(lo, hi, dtype=np.int64) ** den
-        else:
-            yield [n**den for n in range(lo, hi)]
+            yield n**den
+            continue
+        a = 1
+        while (hi - 1) ** (a + 1) < 2**63:
+            a += 1
+        if den > 3 * a:
+            yield [m**den for m in range(lo, hi)]
+            continue
+        k, r = divmod(den, a)
+        factors = [(n**a).tolist()] * k + [(n**r).tolist()] * (r > 0)
+        out = factors[0]
+        for f in factors[1:]:
+            out = list(map(operator.mul, out, f))
+        yield out
 
 
 # log(2**52): below 2**52 a float64 floor is exact and n ** e is within
@@ -448,19 +464,21 @@ def from_file(path: str) -> IntegerSet:
     """Read a set from a text file, one integer per line.
 
     Blank lines are ignored.  Raises DataFormatError naming the first
-    offending line if a value is not an integer or not strictly increasing.
-    The parsed list, checked once, becomes the set's buffer.
+    offending line if a value is not an integer or not strictly increasing,
+    or if the line is not text.  The file is parsed as bytes; only a file
+    that fails that parse or its order check is parsed again line by line
+    as text, which names the line.  The parsed list, checked once, becomes
+    the set's buffer.
     """
-    with open(path) as fp:
+    with open(path, "rb") as fp:
         try:
-            values = list(map(int, fp))  # so value i is on line i + 1
-        except ValueError:  # a blank line or a non-integer
-            fp.seek(0)
+            values = list(map(int, fp))
+        except ValueError:  # a blank line, a non-integer or a non-ASCII digit
+            values = None
+    if values is None or (values and _first_disorder(values, 0) >= 0):
+        # undecodable bytes become lone surrogates, which no int() accepts
+        with open(path, errors="surrogateescape") as fp:
             values = _parse_lines(path, fp)
-        else:
-            i = _first_disorder(values, 0) if values else -1
-            if i >= 0:
-                raise _order_error(path, i + 1, values[i], values[i - 1])
     if not values:
         raise DataFormatError(f"{path}: no values found")
     a = IntegerSet((), label=path)

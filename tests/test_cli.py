@@ -538,17 +538,24 @@ def test_pascal_scan_to_ten_to_the_eleven_runs(capsys):
         ),
         (("--file", "{path}"), None, "No such file or directory"),
         (("--file", "{path}"), "1\n2\nthree\n", "values.txt:3: not an integer: 'three'"),
+        # a byte that is not UTF-8, once a UnicodeDecodeError traceback
+        (("--file", "{path}"), b"1\n2\n\xff3\n", "values.txt:3: not an integer: '\\udcff3'"),
         (
             ("--file", "{path}", "--terms", "500"),
             "".join(f"{i}\n" for i in range(1, 151)),
             "only 150 elements available, 500 requested",
         ),
     ],
-    ids=["InvalidArgumentError", "InvalidArgumentError-overflow", "OSError", "DataFormatError", "InsufficientDataError"],
+    ids=[
+        "InvalidArgumentError", "InvalidArgumentError-overflow", "OSError", "DataFormatError",
+        "DataFormatError-not-utf8", "InsufficientDataError",
+    ],
 )
 def test_set_path_errors_exit_2(capsys, tmp_path, argv, content, message):
     path = tmp_path / "values.txt"
-    if content is not None:
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
         path.write_text(content)
     argv = [arg.format(path=path) for arg in argv]
     code, out, err = run(capsys, "lambda", *argv)

@@ -105,8 +105,36 @@ def test_every_slope_matches_scalar_formula():
     # values of power 3/4 with numpy 2.4 on x86-64), which moves slopes
     terms = 60_000
     prefix = power_set(Fraction(3, 4)).prefix(terms)
-    got = exponent._slopes(prefix, 2, terms + 1).tolist()
+    got = exponent._slopes(prefix, 2, exponent._logs(range(2, terms + 1))).tolist()
     assert got == [scalar_slope(prefix, n) for n in range(2, terms + 1)]
+
+
+def test_interleaved_estimates_over_more_windows_than_cached():
+    # three sets at each window, the windows visited twice in turn, so every
+    # window's logs are evicted and taken again; the last window spans three
+    # CHUNKs, the last one short
+    windows = [(990, 0.5), (1_000, 0.2), (1_000, 0.5), (1_500, 0.2), (4_097, 0.3), (10_000, 1.0)]
+    assert len(windows) > exponent._WINDOWS
+    made = [power_set(Fraction(3, 4)), smooth_set((2, 3)), power_set(0.25)]
+    exponent._index_logs.cache_clear()
+    for _ in range(2):
+        for terms, tail_fraction in windows:
+            for a in made:
+                est = estimate_lambda(a, terms=terms, tail_fraction=tail_fraction)
+                value, samples = scalar_estimate(a.prefix(terms), terms, tail_fraction)
+                assert est.value == value
+                assert list(est.window_ratios) == samples
+    info = exponent._index_logs.cache_info()
+    assert info.currsize == exponent._WINDOWS
+    assert info.misses == 2 * len(windows) and info.hits == 2 * len(windows) * (len(made) - 1)
+
+
+def test_window_logs_are_read_only():
+    logs = exponent._index_logs(800, 1_001)
+    assert not logs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        logs[0] = 0.0
+    assert logs.tolist() == [math.log(n) for n in range(800, 1_001)]
 
 
 def test_logpower_estimate_stays_under_its_exponent():

@@ -15,7 +15,9 @@ file at eps 3 and 4, written from VI's verdict on the suite's checkpoints,
 at commit 27dc90d.  `suite_rows_1e5.json` holds the suite's records at
 10**5 with the rows of each check.  It, `verify.json` and `verify_1e6.json`
 were last written, from the tallies fed block masks and without the VII/VIII
-decade peak step, at commit 3944999.  Each file is written with
+decade peak step, at commit 3944999.  `lambda_file_power_2_3.json` was
+written at commit bec1a45, from the text-mode file parse that the bytes
+parse replaced.  Each file is written with
 
     PYTHONPATH=src python tests/test_golden.py [NAME...]
 
@@ -28,8 +30,10 @@ in CHANGES.md.
 import contextlib
 import io
 import json
+import os
 import pathlib
 import sys
+import tempfile
 
 import pytest
 
@@ -57,6 +61,21 @@ def _suite_rows_1e5() -> str:
     `verify` output nor any other golden shows."""
     records = statement_suite(10**5).to_records(include_rows=True)
     return json.dumps(records, indent=1) + "\n"
+
+
+def _lambda_file_2_3() -> str:
+    """`lambda --file` on the file that `construct --power 2/3 --terms 2000`
+    writes, named by a relative path so that the set label is the same in
+    every directory."""
+    name = "power_2_3.txt"
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            _stdout(("construct", "--power", "2/3", "--terms", "2000", "--out", name))
+            return _stdout(("lambda", "--file", name, "--output", "json"))
+        finally:
+            os.chdir(cwd)
 
 
 # file name -> argv, or a function that returns the file's text
@@ -97,6 +116,8 @@ GOLDEN = {
     "lambda_smooth_2_3_5.json": (
         "lambda", "--smooth", "2,3,5", "--terms", "20000", "--output", "json",
     ),
+    # the byte parse of a set file, read back from `construct`
+    "lambda_file_power_2_3.json": _lambda_file_2_3,
     "construct_power_2_3.txt": ("construct", "--power", "2/3", "--terms", "5000"),
     "classify_power_1_2_leq.json": (
         "classify", "--power", "1/2", "--ideal", "leq", "--q", "0.5", "--output", "json",

@@ -27,6 +27,7 @@ from idealconv import (
     union,
 )
 
+from idealconv import sets
 from idealconv.sets import CHUNK, _last_false
 from oracles import logpower_term, power_term, primes_upto, smooth_upto
 
@@ -101,6 +102,18 @@ def test_power_floor_exact_at_chunk_edges(s, terms, crossing):
     if crossing is not None:
         bound = 2**63 if num == 1 else 2**52
         assert got[crossing - 1] < bound < got[crossing]
+
+
+@pytest.mark.parametrize(
+    "den,terms",
+    # past 2**63, n**den is a product of int64 powers where that takes at
+    # most two products (n**4 = n**3 * n near 3*10**5, n**6 = n**3 * n**3,
+    # n**13 = n**5 * n**5 * n**3 in the first chunk), and one power per term
+    # past that (n**13 in the second chunk, n**64)
+    [(4, 300_000), (5, 300_000), (6, 300_000), (13, 2 * CHUNK), (64, 2 * CHUNK)],
+)
+def test_integer_powers_are_exact(den, terms):
+    assert power_set(Fraction(1, den)).prefix(terms) == [n**den for n in range(1, terms + 1)]
 
 
 def test_power_off_the_rational_grid_past_two_to_the_63():
@@ -490,6 +503,60 @@ def test_from_file_refuses_values_below_one(tmp_path):
     path.write_text("3\n0\n")
     with pytest.raises(DataFormatError, match=r"zero\.txt:2: values must be >= 1"):
         from_file(str(path)).prefix(2)
+
+
+def _text_parse(path: str):
+    """The values, or the error message, of the text-mode parse that reads
+    every line as `str`, which the bytes parse of `from_file` must match."""
+    try:
+        with open(path) as fp:
+            return sets._parse_lines(path, fp)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+# Each file's values, or the message after "f.txt:", as the text-mode parse
+# gives them.
+@pytest.mark.parametrize(
+    "content,want",
+    [
+        (b"1\r\n5\r\n9\r\n", [1, 5, 9]),
+        (b" 1\n\t5 \n9\t \n", [1, 5, 9]),
+        # str.strip and a str's int() drop \x1c; a bytes int() refuses it
+        (b"\x1c1\x1c\n5\n", [1, 5]),
+        ("\u0661\n\u0665\u0663\n".encode(), [1, 53]),
+        (b"\xef\xbb\xbf1\n2\n", "1: not an integer: '\\ufeff1'"),
+        (f"1\n{2**64 + 1}\n".encode(), [1, 2**64 + 1]),
+        (b"1\n\n3\n", [1, 3]),
+        (b"1\nx\n", "2: not an integer: 'x'"),
+        (b"1\n5\n4\n", "3: values must be strictly increasing (4 after 5)"),
+        # a lone carriage return ends a text line but not a bytes line
+        (b"5\n\r3\n", "3: values must be strictly increasing (3 after 5)"),
+        (b" \r12\n20\n", [12, 20]),
+    ],
+    ids=[
+        "crlf", "spaces-and-tabs", "x1c", "arabic-indic-digits", "bom", "past-2**63",
+        "blank-line", "non-integer", "disorder", "lone-cr-disorder", "lone-cr-blank",
+    ],
+)
+def test_from_file_parses_as_the_text_parse_does(tmp_path, content, want):
+    path = tmp_path / "f.txt"
+    path.write_bytes(content)
+    if isinstance(want, str):
+        want = f"{path}:{want}"
+    assert _text_parse(str(path)) == want
+    try:
+        got = from_file(str(path)).prefix(len(want))
+    except DataFormatError as exc:
+        got = str(exc)
+    assert got == want
+
+
+def test_from_file_names_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"1\n2\n\xff3\n")
+    with pytest.raises(DataFormatError, match=r"f\.txt:3: not an integer: '\\udcff3'"):
+        from_file(str(path))
 
 
 def test_prefix_of_negative_length_is_refused():
