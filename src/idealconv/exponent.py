@@ -85,15 +85,12 @@ def _logs(values) -> np.ndarray:
     return np.fromiter(map(math.log, values), dtype=np.float64, count=len(values))
 
 
-# Tail windows whose index logs are kept, 8 bytes per index: one window per
-# (terms, tail_fraction) in use.
-_WINDOWS = 4
-
-
-@functools.lru_cache(maxsize=_WINDOWS)
+# One window's index logs are kept, 8 bytes per tail index: about
+# 8 * tail_fraction * terms bytes until an estimate over another window.
+@functools.lru_cache(maxsize=1)
 def _index_logs(start: int, stop: int) -> np.ndarray:
     """log n for n in [start, stop), read-only: the logs of an estimate's
-    tail window, shared by every estimate over that window."""
+    tail window, shared by the estimates that follow over that window."""
     logs = _logs(range(start, stop))
     logs.flags.writeable = False
     return logs

@@ -234,9 +234,9 @@ def power_set(s: float | Fraction) -> IntegerSet:
 def _power_chunks(den: int) -> Iterator[Chunk]:
     """n**den for n >= 1, by chunks: int64 arrays while the values fit.
     Past 2**63, with a the largest exponent that keeps the chunk's n**a
-    below 2**63, a chunk is the product of the int64 powers n**a, k times,
-    and n**r (den = k*a + r), as lists multiplied element by element; where
-    that takes more than two products, one power per term is faster."""
+    below 2**63, a chunk is n**r * (n**a)**k (den = k*a + r, 1 <= r <= a):
+    the int64 powers n**r and n**a as lists of Python ints, multiplied
+    element by element, with (n**a)**k taken by squaring."""
     for lo in itertools.count(1, CHUNK):
         hi = lo + CHUNK
         n = np.arange(lo, hi, dtype=np.int64)
@@ -246,14 +246,15 @@ def _power_chunks(den: int) -> Iterator[Chunk]:
         a = 1
         while (hi - 1) ** (a + 1) < 2**63:
             a += 1
-        if den > 3 * a:
-            yield [m**den for m in range(lo, hi)]
-            continue
-        k, r = divmod(den, a)
-        factors = [(n**a).tolist()] * k + [(n**r).tolist()] * (r > 0)
-        out = factors[0]
-        for f in factors[1:]:
-            out = list(map(operator.mul, out, f))
+        k, r = divmod(den - 1, a)
+        r += 1
+        out, base = (n**r).tolist(), (n**a).tolist()
+        while k:
+            if k & 1:
+                out = list(map(operator.mul, out, base))
+            k >>= 1
+            if k:
+                base = list(map(operator.mul, base, base))
         yield out
 
 

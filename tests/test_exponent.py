@@ -114,7 +114,6 @@ def test_interleaved_estimates_over_more_windows_than_cached():
     # window's logs are evicted and taken again; the last window spans three
     # CHUNKs, the last one short
     windows = [(990, 0.5), (1_000, 0.2), (1_000, 0.5), (1_500, 0.2), (4_097, 0.3), (10_000, 1.0)]
-    assert len(windows) > exponent._WINDOWS
     made = [power_set(Fraction(3, 4)), smooth_set((2, 3)), power_set(0.25)]
     exponent._index_logs.cache_clear()
     for _ in range(2):
@@ -125,7 +124,7 @@ def test_interleaved_estimates_over_more_windows_than_cached():
                 assert est.value == value
                 assert list(est.window_ratios) == samples
     info = exponent._index_logs.cache_info()
-    assert info.currsize == exponent._WINDOWS
+    assert info.maxsize == info.currsize == 1
     assert info.misses == 2 * len(windows) and info.hits == 2 * len(windows) * (len(made) - 1)
 
 

@@ -106,11 +106,18 @@ def test_power_floor_exact_at_chunk_edges(s, terms, crossing):
 
 @pytest.mark.parametrize(
     "den,terms",
-    # past 2**63, n**den is a product of int64 powers where that takes at
-    # most two products (n**4 = n**3 * n near 3*10**5, n**6 = n**3 * n**3,
-    # n**13 = n**5 * n**5 * n**3 in the first chunk), and one power per term
-    # past that (n**13 in the second chunk, n**64)
-    [(4, 300_000), (5, 300_000), (6, 300_000), (13, 2 * CHUNK), (64, 2 * CHUNK)],
+    # past 2**63, n**den = n**r * (n**a)**k from int64 powers: one product
+    # (n**4 = n * n**3 near 3*10**5, n**6 = n**3 * n**3), and (n**a)**k by
+    # squaring (n**13 = n**3 * (n**5)**2 in the first chunk, n**64 =
+    # n**4 * (n**5)**12, n**1000 = n**5 * (n**5)**199)
+    [
+        (4, 300_000),
+        (5, 300_000),
+        (6, 300_000),
+        (13, 2 * CHUNK),
+        (64, 2 * CHUNK),
+        (1000, CHUNK),
+    ],
 )
 def test_integer_powers_are_exact(den, terms):
     assert power_set(Fraction(1, den)).prefix(terms) == [n**den for n in range(1, terms + 1)]
