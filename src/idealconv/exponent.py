@@ -96,18 +96,19 @@ def _index_logs(start: int, stop: int) -> np.ndarray:
     return logs
 
 
-def _slopes(prefix: list[int], start: int, log_n: np.ndarray) -> np.ndarray:
+def _slopes(a: IntegerSet, start: int, log_n: np.ndarray) -> np.ndarray:
     """The clipped secant slopes of `estimate_lambda` at n in [start, stop),
     stop = start + len(log_n), from log_n = log n there;
-    2 <= start < stop <= len(prefix) + 1.  Logs are taken of the prefix at
-    these indices and of the isqrt anchors only."""
+    2 <= start < stop <= terms + 1 once A's first `terms` elements are
+    buffered.  Logs are taken of A's elements at these indices and at the
+    isqrt anchors only, each range read from A's buffer as one slice."""
     stop = start + len(log_n)
     lo0, hi0 = math.isqrt(start), math.isqrt(stop - 1) + 1
     # isqrt(n) - lo0; a float64 square root floors exactly below 2**52
     at0 = np.sqrt(np.arange(start, stop)).astype(np.int64) - lo0
     log_n0 = _logs(range(lo0, hi0))[at0]
-    log_a0 = _logs(prefix[lo0 - 1 : hi0 - 1])[at0]
-    den = _logs(prefix[start - 1 : stop - 1]) - log_a0
+    log_a0 = _logs(a.slice(lo0 - 1, hi0 - 1))[at0]
+    den = _logs(a.slice(start - 1, stop - 1)) - log_a0
     slope = np.divide(log_n - log_n0, den, out=np.ones_like(den), where=den > 0)
     return np.clip(slope, 0.0, 1.0)
 
@@ -136,17 +137,17 @@ def estimate_lambda(
         raise InvalidArgumentError(
             f"tail_fraction must be in (0, 1], got {tail_fraction}"
         )
-    prefix = a.prefix(terms)
+    a.term(terms)  # buffers the first `terms` elements, or raises
     lo = max(2, math.ceil((1 - tail_fraction) * terms))
     log_n = _index_logs(lo, terms + 1)
     value = float(
         max(
-            _slopes(prefix, n, log_n[n - lo : n - lo + CHUNK]).max()
+            _slopes(a, n, log_n[n - lo : n - lo + CHUNK]).max()
             for n in range(lo, terms + 1, CHUNK)
         )
     )
     marks = [1 << k for k in range(1, (terms - 1).bit_length())] + [terms]
-    samples = [(n, float(_slopes(prefix, n, _logs((n,)))[0])) for n in marks]
+    samples = [(n, float(_slopes(a, n, _logs((n,)))[0])) for n in marks]
 
     tail = [r for _, r in samples[-8:]]
     diffs = [b - a_ for a_, b in zip(tail, tail[1:])]

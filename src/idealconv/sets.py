@@ -4,10 +4,13 @@ An `IntegerSet` wraps a single-pass stream of chunks (most CHUNK long)
 behind a memoized prefix buffer, so counting and prefix queries never
 re-enumerate and the same set object can back several consumers
 (single-threaded).  A chunk is a list of ints or, where its values are
-exact in int64, an int64 array; the buffer is always a list of Python ints.
-Constructors build each chunk with array arithmetic where it is exact, and
-cover the floor-power families, the log-corrected power family, smooth
-numbers, the naturals and primes, plus union / scale / file input.
+exact in int64, an int64 array.  The buffer keeps the elements below 2**63
+in one int64 array (at most 16 bytes an element, with its spare capacity)
+and those at or above 2**63 in a list of Python ints; every query still
+answers in Python ints.  Constructors build each chunk with array arithmetic
+where it is exact, and cover the floor-power families, the log-corrected
+power family, smooth numbers, the naturals and primes, plus union / scale /
+file input.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import heapq
 import itertools
 import math
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, TextIO
@@ -58,20 +61,81 @@ def _first_disorder(values: list[int], last: int) -> int:
     )
 
 
+class _Buffer:
+    """The elements a set has pulled, strictly increasing: those below 2**63
+    in an int64 array whose capacity doubles as it fills, then those at or
+    above 2**63 in the list `big`.  The split between the two parts is the
+    number of elements in the array."""
+
+    def __init__(self) -> None:
+        self._arr = np.empty(0, dtype=np.int64)
+        self.split = 0
+        self.big: list[int] = []
+
+    def __len__(self) -> int:
+        return self.split + len(self.big)
+
+    def last(self) -> int:
+        """The last element, or 0 when there is none."""
+        if self.big:
+            return self.big[-1]
+        return int(self._arr[self.split - 1]) if self.split else 0
+
+    def append(self, values: np.ndarray) -> None:
+        """Append int64 values that continue the array part (`big` is empty)."""
+        n, m = self.split, len(values)
+        if n + m > len(self._arr):
+            grown = np.empty(max(2 * len(self._arr), n + m), dtype=np.int64)
+            grown[:n] = self._arr[:n]
+            self._arr = grown
+        self._arr[n : n + m] = values
+        self.split = n + m
+
+    def runs(self, i: int, j: int) -> Iterator[Chunk]:
+        """Elements i to j - 1 (from 0): a view of those below the split,
+        then a list of those past it; an empty part is left out."""
+        n = self.split
+        if i < n:
+            yield self._arr[i : min(j, n)]
+        if j > n:
+            yield self.big[max(i - n, 0) : j - n]
+
+    def tolist(self, i: int, j: int) -> list[int]:
+        """Elements i to j - 1 (from 0) as Python ints."""
+        n = self.split
+        out = self._arr[min(i, n) : min(j, n)].tolist()
+        if j > n:
+            out += self.big[max(i - n, 0) : j - n]
+        return out
+
+    def count(self, x: float) -> int:
+        """The number of elements <= x, for x not nan; exact for an int x of
+        any size and for any float x."""
+        if x >= 2**63:
+            return self.split + bisect_right(self.big, x)
+        if x < 1:  # every element is at least 1
+            return 0
+        # an int64 compared with a float is rounded to float: compare the
+        # integer floor(x) instead, below 2**63 here
+        return int(np.searchsorted(self._arr[: self.split], math.floor(x), side="right"))
+
+
 class IntegerSet:
     """A strictly increasing stream of positive integers with memoized prefix.
 
     The source yields chunks, each continuing the last: lists of ints, or
     int64 arrays where the values fit.  A chunk is pulled exactly once,
-    checked for strict increase in one pass (vectorised for an array) and
-    appended to the buffer, a list of Python ints; every query (count,
-    prefix, iteration) replays the buffer first, so a buggy construction
-    fails fast.
+    checked for strict increase in one pass (vectorised for an int64 array,
+    or a list whose values all fit in one) and appended to the buffer: an
+    int64 array for the elements below 2**63 and a list of Python ints for
+    the rest, the split between them a single index.  Every query (count,
+    prefix, term, iteration) replays the buffer first, so a buggy
+    construction fails fast, and answers in Python ints.
     """
 
     def __init__(self, source: Iterable[Chunk], label: str = "set"):
         self._it: Iterator[Chunk] | None = iter(source)
-        self._buf: list[int] = []
+        self._buf = _Buffer()
         self.label = label
 
     # -- internal -----------------------------------------------------------
@@ -86,20 +150,42 @@ class IntegerSet:
         else:
             self._it = None
             return False
-        last = self._buf[-1] if self._buf else 0
+        self._push(chunk)
+        return True
+
+    def _push(self, chunk: Chunk) -> None:
+        """Check that a non-empty chunk continues the buffer and append it."""
+        buf = self._buf
+        last = buf.last()
         if isinstance(chunk, np.ndarray):
-            if int(chunk[0]) > last and (chunk[1:] > chunk[:-1]).all():
-                self._buf += chunk.tolist()
-                return True
-            chunk = chunk.tolist()  # to name the first bad position
-        i = _first_disorder(chunk, last)
+            self._require_int64(chunk)
+            head = chunk
+        else:  # int64 when every value is an integer below 2**63
+            head = None if buf.big or chunk[-1] >= 2**63 else np.array(chunk)
+        if head is not None and head.dtype == np.int64:
+            if int(head[0]) > last and (head[1:] > head[:-1]).all():
+                buf.append(head)
+                return
+        values = chunk.tolist() if isinstance(chunk, np.ndarray) else chunk
+        i = _first_disorder(values, last)
         if i >= 0:
             raise DataFormatError(
                 f"{self.label}: stream not strictly increasing at position "
-                f"{len(self._buf) + i + 1} (got {chunk[i]})"
+                f"{len(buf) + i + 1} (got {values[i]})"
             )
-        self._buf += chunk
-        return True
+        # a list that reaches 2**63, or holds values that are not integers
+        split = 0 if buf.big else bisect_left(values, 2**63)
+        if split:  # the split lies in this chunk, so `big` is empty
+            head = np.array(values[:split])
+            self._require_int64(head)
+            buf.append(head)
+            buf.big = values[split:]
+        else:
+            buf.big += values
+
+    def _require_int64(self, values: np.ndarray) -> None:
+        if values.dtype != np.int64:
+            raise DataFormatError(f"{self.label}: a chunk of dtype {values.dtype}, not int64")
 
     def _ensure_terms(self, k: int) -> None:
         while len(self._buf) < k:
@@ -110,8 +196,22 @@ class IntegerSet:
                 )
 
     def _ensure_upto(self, x: float) -> None:
-        while (not self._buf or self._buf[-1] <= x) and self._pull():
+        while (not self._buf or self._buf.last() <= x) and self._pull():
             pass
+
+    def _spans(self) -> Iterator[tuple[int, int]]:
+        """Buffer positions [i, j) that cover every element in order, at most
+        CHUNK each: the buffer first, then each chunk as it is pulled."""
+        i = 0
+        while i < len(self._buf) or self._pull():
+            j = min(len(self._buf), i + CHUNK)
+            yield i, j
+            i = j
+
+    def _runs(self) -> Iterator[Chunk]:
+        """All elements in order: int64 arrays below 2**63, lists past it."""
+        for i, j in self._spans():
+            yield from self._buf.runs(i, j)
 
     # -- queries ------------------------------------------------------------
 
@@ -120,28 +220,35 @@ class IntegerSet:
         if i < 1:
             raise InvalidArgumentError(f"term index must be >= 1, got {i}")
         self._ensure_terms(i)
-        return self._buf[i - 1]
+        return self._buf.tolist(i - 1, i)[0]
 
     def prefix(self, k: int) -> list[int]:
         """The first k elements."""
         if k < 0:
             raise InvalidArgumentError(f"prefix length must be >= 0, got {k}")
-        self._ensure_terms(k)
-        return self._buf[:k]
+        return self.slice(0, k)
+
+    def slice(self, i: int, j: int) -> list[int]:
+        """The elements at 0-indexed positions i to j - 1, as prefix(j)[i:]
+        without copying the first i."""
+        if not 0 <= i <= j:
+            raise InvalidArgumentError(f"slice needs 0 <= i <= j, got i={i}, j={j}")
+        self._ensure_terms(j)
+        return self._buf.tolist(i, j)
 
     def count(self, x: float) -> int:
-        """A(x): number of elements <= x."""
+        """A(x): number of elements <= x, exact for an int or a float x;
+        x = nan is refused."""
+        if x != x:
+            raise InvalidArgumentError(f"{self.label}: cannot count the elements <= {x}")
         self._ensure_upto(x)
-        return bisect_right(self._buf, x)
+        return self._buf.count(x)
 
     def chunks(self) -> Iterator[list[int]]:
         """All elements in order, as lists of at most CHUNK: the buffer
         first, then each chunk as it is pulled."""
-        i = 0
-        while i < len(self._buf) or self._pull():
-            j = min(len(self._buf), i + CHUNK)
-            yield self._buf[i:j]
-            i = j
+        for i, j in self._spans():
+            yield self._buf.tolist(i, j)
 
     def __iter__(self) -> Iterator[int]:
         for chunk in self.chunks():
@@ -150,9 +257,12 @@ class IntegerSet:
     def write(self, fp: TextIO, terms: int) -> None:
         """Write the first `terms` elements one per line, one write per
         chunk."""
-        head = self.prefix(terms)
+        if terms < 0:
+            raise InvalidArgumentError(f"terms must be >= 0, got {terms}")
+        self._ensure_terms(terms)
         for i in range(0, terms, CHUNK):
-            fp.write("\n".join(map(str, head[i : i + CHUNK])) + "\n")
+            part = self._buf.tolist(i, min(i + CHUNK, terms))
+            fp.write(("%d\n" * len(part)) % tuple(part))
 
 
 # ---------------------------------------------------------------------------
@@ -422,17 +532,15 @@ def union(a: IntegerSet, b: IntegerSet) -> IntegerSet:
     their last elements, so at least one side's run is used up.
     """
 
-    def gen() -> Iterator[list[int]]:
-        ca, cb = a.chunks(), b.chunks()
+    def gen() -> Iterator[Chunk]:
+        ca, cb = a._runs(), b._runs()
         ra, rb = next(ca, None), next(cb, None)  # None once a side is done
         while ra is not None and rb is not None:
-            cut = min(ra[-1], rb[-1])
+            cut = min(int(ra[-1]), int(rb[-1]))
             i, j = bisect_right(ra, cut), bisect_right(rb, cut)
-            seen = set(ra[:i])
-            merged = ra[:i] + [v for v in rb[:j] if v not in seen]
-            merged.sort()  # two sorted runs: one linear merge
-            yield merged
-            ra, rb = ra[i:] or next(ca, None), rb[j:] or next(cb, None)
+            yield _merge(ra[:i], rb[:j])
+            ra = ra[i:] if i < len(ra) else next(ca, None)
+            rb = rb[j:] if j < len(rb) else next(cb, None)
         for run, rest in ((ra, ca), (rb, cb)):
             if run is not None:
                 yield run
@@ -441,18 +549,43 @@ def union(a: IntegerSet, b: IntegerSet) -> IntegerSet:
     return IntegerSet(gen(), label=f"union({a.label},{b.label})")
 
 
+def _merge(x: Chunk, y: Chunk) -> Chunk:
+    """Two strictly increasing runs as one, a value in both kept once.  Both
+    are int64 arrays or both lists, when neither is empty: an array run
+    lies below 2**63 and a list run past it, so the cut at the smaller last
+    element leaves nothing of one of them."""
+    if not len(y):
+        return x
+    if not len(x):
+        return y
+    if isinstance(x, list):
+        seen = set(x)
+        merged = x + [v for v in y if v not in seen]
+        merged.sort()  # two sorted runs: one linear merge
+        return merged
+    merged = np.sort(np.concatenate((x, y)), kind="stable")  # merges the two runs
+    keep = np.empty(len(merged), dtype=bool)
+    keep[0] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
+
+
 def scale(a: IntegerSet, k: int) -> IntegerSet:
     """The set {k * a : a in A} for an integer k >= 1; a chunk is scaled in
     int64 while its last product stays below 2**63."""
+    if not isinstance(k, int):
+        raise InvalidArgumentError(f"scale factor must be an integer, got {k!r}")
     if k < 1:
         raise InvalidArgumentError(f"scale factor must be >= 1, got {k}")
 
     def gen() -> Iterator[Chunk]:
-        for chunk in a.chunks():
-            if k * chunk[-1] < 2**63:
-                yield np.array(chunk, dtype=np.int64) * k
-            else:
-                yield [k * v for v in chunk]
+        for run in a._runs():
+            if isinstance(run, np.ndarray):
+                if k * int(run[-1]) < 2**63:
+                    yield run * k
+                    continue
+                run = run.tolist()
+            yield [k * v for v in run]
 
     return IntegerSet(gen(), label=f"scale({a.label},{k})")
 
@@ -466,24 +599,38 @@ def from_file(path: str) -> IntegerSet:
 
     Blank lines are ignored.  Raises DataFormatError naming the first
     offending line if a value is not an integer or not strictly increasing,
-    or if the line is not text.  The file is parsed as bytes; only a file
-    that fails that parse or its order check is parsed again line by line
-    as text, which names the line.  The parsed list, checked once, becomes
-    the set's buffer.
+    or if the line is not text.  The file is parsed as bytes, and the parsed
+    list is checked and buffered as one chunk (one int64 array below 2**63);
+    only a file that fails that parse or that check is parsed again line by
+    line as text, which names the line.
     """
     with open(path, "rb") as fp:
         try:
             values = list(map(int, fp))
         except ValueError:  # a blank line, a non-integer or a non-ASCII digit
             values = None
-    if values is None or (values and _first_disorder(values, 0) >= 0):
-        # undecodable bytes become lone surrogates, which no int() accepts
-        with open(path, errors="surrogateescape") as fp:
-            values = _parse_lines(path, fp)
+    if values is not None:
+        try:
+            return _buffered(path, values)
+        except DataFormatError:  # out of order or empty: the text parse says which
+            pass
+    # undecodable bytes become lone surrogates, which no int() accepts
+    with open(path, errors="surrogateescape") as fp:
+        return _buffered(path, _parse_lines(path, fp))
+
+
+def _buffered(path: str, values: list[int]) -> IntegerSet:
+    """The set of a file's parsed values, all in its buffer."""
     if not values:
         raise DataFormatError(f"{path}: no values found")
+    chunk = values
+    if values[-1] < 2**63:
+        try:  # int() made every value an int, so no dtype needs inferring
+            chunk = np.array(values, dtype=np.int64)
+        except OverflowError:  # a value past 2**63 before the last: out of order
+            pass
     a = IntegerSet((), label=path)
-    a._buf = values
+    a._push(chunk)
     return a
 
 

@@ -104,8 +104,9 @@ def test_every_slope_matches_scalar_formula():
     # np.log can differ from libm in the last bit (on 17 of the first 3*10**5
     # values of power 3/4 with numpy 2.4 on x86-64), which moves slopes
     terms = 60_000
-    prefix = power_set(Fraction(3, 4)).prefix(terms)
-    got = exponent._slopes(prefix, 2, exponent._logs(range(2, terms + 1))).tolist()
+    a = power_set(Fraction(3, 4))
+    prefix = a.prefix(terms)
+    got = exponent._slopes(a, 2, exponent._logs(range(2, terms + 1))).tolist()
     assert got == [scalar_slope(prefix, n) for n in range(2, terms + 1)]
 
 

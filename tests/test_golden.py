@@ -17,7 +17,9 @@ at commit 27dc90d.  `suite_rows_1e5.json` holds the suite's records at
 were last written, from the tallies fed block masks and without the VII/VIII
 decade peak step, at commit 3944999.  `lambda_file_power_2_3.json` was
 written at commit bec1a45, from the text-mode file parse that the bytes
-parse replaced.  Each file is written with
+parse replaced.  `construct_power_1_7.txt` was written at commit 17d6361,
+from the buffer of Python ints that the int64 buffer replaced.  Each file is
+written with
 
     PYTHONPATH=src python tests/test_golden.py [NAME...]
 
@@ -119,6 +121,10 @@ GOLDEN = {
     # the byte parse of a set file, read back from `construct`
     "lambda_file_power_2_3.json": _lambda_file_2_3,
     "construct_power_2_3.txt": ("construct", "--power", "2/3", "--terms", "5000"),
+    # term 512 is 512**7 = 2**63 exactly, so the first chunk of 1/7 crosses
+    # the int64 limit at that value: the terms below it fit in int64, the
+    # rest do not
+    "construct_power_1_7.txt": ("construct", "--power", "1/7", "--terms", "1000"),
     "classify_power_1_2_leq.json": (
         "classify", "--power", "1/2", "--ideal", "leq", "--q", "0.5", "--output", "json",
     ),

@@ -1,7 +1,9 @@
 """Integer-stream constructions, algebra, and checkpoint grids."""
 
 import io
+import itertools
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -356,6 +358,13 @@ def test_scale_rejects_bad_factor():
         scale(naturals(), 0)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, Fraction(2), np.int64(2)])
+def test_scale_refuses_a_factor_that_is_not_an_int(k):
+    # an int64 buffer would truncate 2.5 * a silently
+    with pytest.raises(InvalidArgumentError, match="must be an integer"):
+        scale(power_set(0.5), k)
+
+
 # ---------------------------------------------------------------------------
 # stream mechanics
 # ---------------------------------------------------------------------------
@@ -374,6 +383,42 @@ def test_count_boundaries():
     assert a.count(1) == 1
     assert a.count(3.9) == 1
     assert a.count(9) == 3
+
+
+def test_count_of_a_float_past_two_to_the_53_is_exact():
+    # float(2**53 + 1) is 2**53; compared as floats, 2**53 + 1 would count
+    a = from_iterable([2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2])
+    assert a.count(float(2**53 + 1)) == 2
+    assert a.count(2.0**53 + 2) == 4
+    assert a.count(2**53 + 1) == 3
+    b = from_iterable([2**62 + 1, 2**62 + 1024])
+    assert b.count(2.0**62) == 0
+    assert b.count(float(2**62 + 1)) == 0  # 2**62 as a float
+
+
+def test_count_at_infinities():
+    a = from_iterable([1, 2, 2**63 - 1, 2**63, 2**70])
+    assert a.count(math.inf) == 5
+    assert a.count(-math.inf) == 0
+    assert power_set(0.5).count(-math.inf) == 0
+
+
+def test_count_at_or_above_two_to_the_63():
+    small = from_iterable([1, 5, 2**63 - 1])
+    assert small.count(2**63) == 3
+    assert small.count(2**100) == 3
+    a = from_iterable([1, 2**63 - 1, 2**63, 2**64 + 3])
+    assert [a.count(x) for x in (2**63 - 1, 2**63, 2.0**63, 2**64 + 2, 2**64 + 3)] == [
+        2, 3, 3, 3, 4,
+    ]
+
+
+def test_count_refuses_nan():
+    a = power_set(0.5)
+    with pytest.raises(InvalidArgumentError):
+        a.count(math.nan)
+    with pytest.raises(InvalidArgumentError):
+        a.count(np.float64("nan"))
 
 
 def test_iteration_replays_buffer():
@@ -423,6 +468,18 @@ def test_order_break_across_chunks_names_its_position(kind):
         a.count(10)
 
 
+@pytest.mark.parametrize(
+    "chunk",
+    [np.array([1.5, 2.5]), np.array([1, 2], dtype=np.uint64), np.array([1, 2], dtype=np.int32),
+     [1.5, 2.5], [1, 2.5]],
+    ids=["float64", "uint64", "int32", "float-list", "mixed-list"],
+)
+def test_a_chunk_that_is_not_int64_is_refused(chunk):
+    # the int64 buffer would truncate 1.5 to 1 silently
+    with pytest.raises(DataFormatError, match="not int64"):
+        IntegerSet([chunk], label="floats").prefix(1)
+
+
 def test_order_break_at_an_int64_chunk_boundary_names_its_position():
     a = IntegerSet([[1, 5, 9], np.array([9, 10], dtype=np.int64)], label="broken")
     with pytest.raises(DataFormatError, match=r"at position 4 \(got 9\)"):
@@ -430,6 +487,167 @@ def test_order_break_at_an_int64_chunk_boundary_names_its_position():
     b = IntegerSet([[3], np.array([2, 4], dtype=np.int64)], label="broken")
     with pytest.raises(DataFormatError, match=r"at position 2 \(got 2\)"):
         b.prefix(2)
+
+
+class ListModel:
+    """An IntegerSet whose buffer is a plain list of Python ints: each chunk
+    is checked value by value and appended whole, or not at all."""
+
+    def __init__(self, chunks, label):
+        self.it, self.buf, self.label = iter(chunks), [], label
+
+    def pull(self):
+        for chunk in self.it:
+            if len(chunk):
+                break
+        else:
+            return False
+        values = [int(v) for v in chunk]
+        for i, v in enumerate(values):
+            if v <= (values[i - 1] if i else self.buf[-1] if self.buf else 0):
+                raise DataFormatError(
+                    f"{self.label}: stream not strictly increasing at position "
+                    f"{len(self.buf) + i + 1} (got {v})"
+                )
+        self.buf += values
+        return True
+
+    def ensure(self, k):
+        while len(self.buf) < k:
+            if not self.pull():
+                raise InsufficientDataError(
+                    f"{self.label}: only {len(self.buf)} elements available, {k} requested"
+                )
+
+    def term(self, i):
+        self.ensure(i)
+        return self.buf[i - 1]
+
+    def prefix(self, k):
+        self.ensure(k)
+        return self.buf[:k]
+
+    def count(self, x):
+        while (not self.buf or self.buf[-1] <= x) and self.pull():
+            pass
+        return bisect_right(self.buf, x)
+
+    def chunks(self):
+        i = 0
+        while i < len(self.buf) or self.pull():
+            j = min(len(self.buf), i + sets.CHUNK)
+            yield self.buf[i:j]
+            i = j
+
+    def __iter__(self):
+        for chunk in self.chunks():
+            yield from chunk
+
+
+# values near 2**62, where floats are 1024 apart, on both sides of 2**63,
+# 2**63 itself, and past 2**64
+_POINTS = st.one_of(
+    st.integers(1, 50),
+    st.integers(2**62 - 4, 2**62 + 4),
+    st.integers(2**63 - 8, 2**63 + 8),
+    st.just(2**63),
+    st.integers(2**64 - 3, 2**64 + 3),
+)
+
+
+@st.composite
+def chunk_streams(draw, disorder=True):
+    """A strictly increasing stream cut into chunks, some of them empty, each
+    a list or (where its values fit) an int64 array; with `disorder`, maybe
+    one value not above its predecessor, wherever it falls: inside a chunk,
+    at a chunk edge or at 2**63."""
+    values = sorted(set(draw(st.lists(_POINTS, min_size=1, max_size=24))))
+    if disorder and draw(st.booleans()):
+        i = draw(st.integers(0, len(values) - 1))
+        values[i] = draw(st.sampled_from([0, *values[:i], values[i - 1] - 1 if i else 0]))
+    cuts = sorted(draw(st.lists(st.integers(0, len(values)), max_size=8)))
+    chunks = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(values)]):
+        chunk = values[lo:hi]
+        if draw(st.booleans()) and all(-(2**63) <= v < 2**63 for v in chunk):
+            chunk = np.array(chunk, dtype=np.int64)
+        chunks.append(chunk)
+    return chunks
+
+
+_COUNT_AT = st.one_of(
+    _POINTS,
+    _POINTS.map(float),  # past 2**53 a float rounds, and the count must not
+    st.sampled_from([math.inf, -math.inf, 0, 0.5, 2.0**62, 2**63 - 1, 2.0**63, 2**100]),
+)
+_QUERIES = st.lists(
+    st.one_of(
+        st.tuples(st.just("term"), st.integers(1, 30)),
+        st.tuples(st.just("prefix"), st.integers(0, 30)),
+        st.tuples(st.just("count"), _COUNT_AT),
+        st.tuples(st.just("chunks")),
+        st.tuples(st.just("iter"), st.integers(0, 30)),
+    ),
+    max_size=8,
+)
+
+
+def _answer(a, query):
+    """The query's result, or the type and text of what it raised."""
+    name, *args = query
+    try:
+        if name == "chunks":
+            return list(a.chunks())
+        if name == "iter":
+            return list(itertools.islice(a, args[0]))
+        return getattr(a, name)(*args)
+    except (DataFormatError, InsufficientDataError) as e:
+        return type(e), str(e)
+
+
+def _python_ints(result) -> bool:
+    """Whether every number in a query's result is a Python int."""
+    if isinstance(result, tuple):  # what the query raised
+        return True
+    if isinstance(result, list):
+        return all(map(_python_ints, result))
+    return type(result) is int
+
+
+@settings(max_examples=300, deadline=None)
+@given(chunk_streams(), _QUERIES)
+def test_buffer_matches_a_list_model(chunks, queries):
+    # a small CHUNK, so that chunks() cuts the buffer at several places
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sets, "CHUNK", 5)
+        a, model = IntegerSet(chunks, label="s"), ListModel(chunks, "s")
+        for query in queries:
+            got = _answer(a, query)
+            assert got == _answer(model, query)
+            assert _python_ints(got)
+        # the int64 part holds exactly the elements below 2**63
+        assert len(a._buf) == len(model.buf)
+        assert a._buf.split == bisect_left(model.buf, 2**63)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chunk_streams(disorder=False), chunk_streams(disorder=False),
+       st.sampled_from([1, 2, 3, 2**40]), st.lists(_COUNT_AT, max_size=4))
+def test_union_and_scale_match_a_list_model(left, right, k, xs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sets, "CHUNK", 5)
+        a, b = list(ListModel(left, "a")), list(ListModel(right, "b"))
+        for got, want in (
+            (union(IntegerSet(left), IntegerSet(right)), sorted(set(a) | set(b))),
+            (scale(IntegerSet(left), k), [k * v for v in a]),
+        ):
+            assert [got.count(x) for x in xs] == [bisect_right(want, x) for x in xs]
+            head, chunks = got.prefix(len(want)), list(got.chunks())
+            assert head == want == [v for chunk in chunks for v in chunk] == list(got)
+            assert all(len(chunk) <= 5 for chunk in chunks)
+            assert _python_ints(head) and _python_ints(chunks)
+            with pytest.raises(InsufficientDataError):
+                got.term(len(want) + 1)
 
 
 @pytest.mark.parametrize(
@@ -450,8 +668,13 @@ def test_order_break_at_an_int64_chunk_boundary_names_its_position():
          "power0.3", "logpower0.5"],
 )
 def test_buffer_holds_python_ints(make, terms):
-    head = make().prefix(terms)
+    a = make()
+    head = a.prefix(terms)
     assert all(type(x) is int for x in head)
+    assert all(type(a.term(i)) is int for i in (1, terms // 2, terms))
+    assert all(type(x) is int for x in itertools.islice(a, terms))
+    chunks = itertools.islice(a.chunks(), -(-terms // CHUNK))
+    assert all(type(x) is int for chunk in chunks for x in chunk)
 
 
 def test_power_quarter_switches_to_python_ints_exactly():
@@ -540,10 +763,14 @@ def _text_parse(path: str):
         # a lone carriage return ends a text line but not a bytes line
         (b"5\n\r3\n", "3: values must be strictly increasing (3 after 5)"),
         (b" \r12\n20\n", [12, 20]),
+        # values on both sides of 2**63, in order and with one past it too early
+        (f"1\n{2**63 - 1}\n{2**63}\n".encode(), [1, 2**63 - 1, 2**63]),
+        (f"1\n{2**64}\n5\n".encode(), f"3: values must be strictly increasing (5 after {2**64})"),
     ],
     ids=[
         "crlf", "spaces-and-tabs", "x1c", "arabic-indic-digits", "bom", "past-2**63",
         "blank-line", "non-integer", "disorder", "lone-cr-disorder", "lone-cr-blank",
+        "across-2**63", "disorder-past-2**63",
     ],
 )
 def test_from_file_parses_as_the_text_parse_does(tmp_path, content, want):
