@@ -277,7 +277,12 @@ def _cmd_fn(args) -> int:
 
 def _cmd_construct(args) -> int:
     a = _build_set(args)
-    a.prefix(args.terms)  # a set that fails to generate fails before --out
+    # a set that fails to generate fails before --out is opened; prefix
+    # refuses a negative count
+    if args.terms >= 1:
+        a.term(args.terms)
+    else:
+        a.prefix(args.terms)
     with _output(args) as fp:
         a.write(fp, terms=args.terms)
     return 0

@@ -8,8 +8,14 @@ limsup of log k / log n_k along their elements.
 
 `exceptional_scan` is the one scan loop: one `bulk.iter_blocks` pass over
 [2, limit] yields each block's membership mask for any number of (sequence,
-eps) pairs, with `deviation` as the one membership test, so membership over
-ranges like [2, 10**7] costs one sieve pass.  A `Tally` is the running state
+eps) pairs, so membership over ranges like [2, 10**7] costs one sieve pass.
+The masks come from cut-offs on the block's integer field, not from a float
+per n: x_n is a function of n and one small field value m, monotone in n, so
+its values at the block's two ends decide every n of almost every m at once,
+by signed zones with a margin δ = 1e-9 that a bound on the float error backs.
+`deviation`, the per-n floats, is the oracle of that rule and its fallback,
+for the few values it leaves undecided and the head of a scan's first
+block.  A `Tally` is the running state
 of one exceptional set across a scan: the count A(x) at each checkpoint and
 the ratio rows at k = 1, 2, 4, ...  It takes a block's mask and lists the
 members only in the few blocks that hold a checkpoint or a rank k = 2**j.
@@ -72,19 +78,20 @@ class SequenceSpec:
         return f"{self.key}(p={self.p})" if self.p is not None else self.key
 
 
-# key -> (normal value, first valid n, bulk fields, needs prime p, the
-# envelope kind that bounds its exceptional counts)
-SEQUENCE_KEYS: dict[str, tuple[float, int, frozenset[str], bool, str | None]] = {
-    "min_exponent_over_log": (0.0, 2, frozenset({"h_min"}), False, None),
-    "max_exponent_over_log": (0.0, 2, frozenset({"h_max"}), False, "max_exponent"),
-    "valuation_scaled": (0.0, 2, frozenset(), True, "prime_valuation"),
-    "power_rep_count": (1.0, 2, frozenset({"exp_gcd"}), False, "perfect_power"),
-    "power_rep_weight": (1.0, 2, frozenset({"exp_gcd"}), False, "perfect_power"),
-    "pascal_count": (2.0, 2, frozenset(), False, None),
-    "omega_over_loglog": (1.0, 3, frozenset({"omega"}), False, None),
-    "bigomega_over_loglog": (1.0, 3, frozenset({"big_omega"}), False, None),
-    "loglog_f": (_NORMAL_LOGLOG, 3, frozenset({"div_count"}), False, None),
-    "loglog_fstar": (_NORMAL_LOGLOG, 3, frozenset({"div_count"}), False, None),
+# key -> (normal value, first valid n, the bulk field x_n is a function of,
+# "ap" for the valuation of the spec's prime p, None for the Pascal count,
+# which no block holds; the envelope kind that bounds its exceptional counts)
+SEQUENCE_KEYS: dict[str, tuple[float, int, str | None, str | None]] = {
+    "min_exponent_over_log": (0.0, 2, "h_min", None),
+    "max_exponent_over_log": (0.0, 2, "h_max", "max_exponent"),
+    "valuation_scaled": (0.0, 2, "ap", "prime_valuation"),
+    "power_rep_count": (1.0, 2, "exp_gcd", "perfect_power"),
+    "power_rep_weight": (1.0, 2, "exp_gcd", "perfect_power"),
+    "pascal_count": (2.0, 2, None, None),
+    "omega_over_loglog": (1.0, 3, "omega", None),
+    "bigomega_over_loglog": (1.0, 3, "big_omega", None),
+    "loglog_f": (_NORMAL_LOGLOG, 3, "div_count", None),
+    "loglog_fstar": (_NORMAL_LOGLOG, 3, "div_count", None),
 }
 
 
@@ -93,8 +100,8 @@ def sequence_spec(key: str, p: int | None = None) -> SequenceSpec:
         raise InvalidArgumentError(
             f"unknown sequence {key!r}; choose from {sorted(SEQUENCE_KEYS)}"
         )
-    limit_value, start_n, _, needs_p, _ = SEQUENCE_KEYS[key]
-    if needs_p:
+    limit_value, start_n, field_name, _ = SEQUENCE_KEYS[key]
+    if field_name == "ap":
         if p is None:
             raise InvalidArgumentError(f"sequence {key!r} requires a prime p")
         arith.require_prime(p)
@@ -116,51 +123,59 @@ for _i in range(1, _TBL):
     _SIGMA_SMALL[_i::_i] += _i
 
 
-def sequence_values(
-    spec: SequenceSpec, stats: BlockStats, out: np.ndarray | None = None
-) -> np.ndarray:
-    """x_n for every n in a stats block (indices below start_n give garbage;
-    `deviation` blanks them), written into `out` when it is given, a float64
-    array of the block's length, and into a fresh array otherwise."""
-    if out is None:
-        out = np.empty(len(stats.n))
+def sequence_values(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
+    """x_n for every n of a stats block, in a fresh float64 array (indices
+    below start_n give garbage; `deviation` blanks them).  Each entry reads
+    only its own n and field value, so `stats` may also hold any
+    non-decreasing n, not only consecutive ones, with the spec's field
+    beside them (see `_field_stats`)."""
     key = spec.key
-    # exp_gcd < _TBL, so "clip" never acts; it lets take write straight to out
     if key == "power_rep_count":
-        return np.take(_D_SMALL, stats.exp_gcd, out=out, mode="clip")
+        return _D_SMALL[stats.exp_gcd]
     if key == "power_rep_weight":
-        return np.take(_SIGMA_SMALL, stats.exp_gcd, out=out, mode="clip")
+        return _SIGMA_SMALL[stats.exp_gcd]
     ln_n = stats.ln_n
     if key == "min_exponent_over_log":
-        return np.divide(stats.h_min, ln_n, out=out)
+        return stats.h_min / ln_n
     if key == "max_exponent_over_log":
-        return np.divide(stats.h_max, ln_n, out=out)
+        return stats.h_max / ln_n
     if key == "valuation_scaled":
-        v = np.multiply(stats.ap[spec.p], math.log(spec.p), out=out)
+        ap = stats.ap[spec.p]
+        v = ap * math.log(spec.p)
         v /= ln_n
-        # x_n is exactly 1 at n = p**k, where the quotient can round below 1
-        pk = spec.p
-        while pk < stats.hi:
-            if pk >= stats.lo:
-                v[pk - stats.lo] = 1.0
-            pk *= spec.p
+        # x_n is exactly 1 at n = p**k, where the quotient can round below 1.
+        # stats.n never falls, so the entries at n = p**k are one run, found
+        # by value: x is 1 there where the valuation is k, which in a block
+        # is the one entry
+        first, last = int(stats.n[0]), int(stats.n[-1])
+        pk, k = spec.p, 1
+        while pk <= last:
+            if pk >= first:
+                i = np.searchsorted(stats.n, pk)
+                j = np.searchsorted(stats.n, pk, side="right")
+                v[i:j][ap[i:j] == k] = 1.0
+            pk, k = pk * spec.p, k + 1
         return v
     lnln_n = stats.lnln_n
     with np.errstate(divide="ignore"):
         if key == "omega_over_loglog":
-            return np.divide(stats.omega, lnln_n, out=out)
+            return stats.omega / lnln_n
         if key == "bigomega_over_loglog":
-            return np.divide(stats.big_omega, lnln_n, out=out)
+            return stats.big_omega / lnln_n
         if key in ("loglog_f", "loglog_fstar"):
             # log f(n) / log n, then log f(n) and its log, in one array
-            v = np.multiply(stats.div_count, 0.5, out=out)
+            v = stats.div_count * 0.5
             if key == "loglog_fstar":
                 v -= 1.0
             v *= ln_n
             np.log(v, out=v)
             v /= lnln_n
             return v
-    raise InvalidArgumentError(f"no bulk values for {key!r}; use exceptional_members")
+    raise _no_bulk_values(key)
+
+
+def _no_bulk_values(key: str) -> InvalidArgumentError:
+    return InvalidArgumentError(f"no bulk values for {key!r}; use exceptional_members")
 
 
 # ---------------------------------------------------------------------------
@@ -202,24 +217,116 @@ def pascal_distances(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return n[order], np.fromiter(dist.values(), np.int64, len(dist))[order]
 
 
-def deviation(
-    spec: SequenceSpec, stats: BlockStats, out: np.ndarray | None = None
-) -> np.ndarray:
-    """|x_n - L| for every n in a block, and 0 for n < start_n, so that
-    `deviation(spec, stats) >= eps` is the block's membership mask.  It is
-    computed in place in the array `sequence_values` returns: `out` when it
-    is given, which then holds it until its owner writes there again, and a
-    fresh array otherwise."""
-    dev = sequence_values(spec, stats, out)
+def deviation(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
+    """|x_n - L| for every n of a stats block, and 0 for n < start_n, so that
+    `deviation(spec, stats) >= eps` is the block's membership mask: the
+    oracle of the scan's cut-offs and their fallback.  It is computed in
+    place in the fresh array `sequence_values` returns."""
+    dev = sequence_values(spec, stats)
     dev -= spec.limit_value
     np.abs(dev, out=dev)
-    dev[: max(0, spec.start_n - stats.lo)] = 0.0
+    dev[: np.searchsorted(stats.n, spec.start_n)] = 0.0
     return dev
 
 
 def _require_eps(eps: float) -> None:
     if not eps > 0:
         raise InvalidArgumentError(f"tolerance eps must be positive, got {eps}")
+
+
+def _field(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
+    """The field of the block that x_n is a function of, beside n."""
+    name = SEQUENCE_KEYS[spec.key][2]
+    return stats.ap[spec.p] if name == "ap" else getattr(stats, name)
+
+
+def _field_stats(spec: SequenceSpec, n: np.ndarray, values: np.ndarray) -> BlockStats:
+    """Stats of the non-decreasing int64 n that hold only the spec's field,
+    as `values`: positions gathered from a block, or chosen pairs of n and a
+    field value, for `sequence_values`."""
+    size = len(n)
+    stats = BlockStats(int(n[0]), int(n[-1]) + 1, n, (np.empty(size), np.empty(size)))
+    name = SEQUENCE_KEYS[spec.key][2]
+    if name == "ap":
+        stats.ap[spec.p] = values
+    else:
+        setattr(stats, name, values)
+    return stats
+
+
+# the margin of the scan's zones, far above the float error of x_n (see
+# exceptional_scan)
+_DELTA = 1e-9
+
+
+def _block_masks(
+    spec: SequenceSpec,
+    eps_list: list[float],
+    stats: BlockStats,
+    mask: np.ndarray,
+    spare: np.ndarray,
+) -> Iterator[tuple[SequenceSpec, float, np.ndarray]]:
+    """(spec, eps, mask) for each eps, the mask written into `mask`: by
+    `deviation` over the head of the block, and by cut-offs on the spec's
+    field values from n = first on; `spare` is scratch."""
+    values = _field(spec, stats)
+    last = stats.hi - 1
+    # the head is the n below start_n and, in a block that more than doubles
+    # n (the scan's first), the n <= last / 2, where x varies too much for
+    # the cut-offs to decide many values
+    first = max(stats.lo, spec.start_n, last // 2 + 1)
+    k = first - stats.lo
+    head = deviation(spec, _field_stats(spec, stats.n[:k], values[:k])) if k else None
+    if first <= last:
+        # s = x - L at both ends for each value m, and its range in between
+        m_lo = int(values[k:].min())
+        m = np.arange(m_lo, int(values[k:].max()) + 1)
+        ends = _field_stats(spec, np.repeat(np.array([first, last]), len(m)), np.tile(m, 2))
+        s = sequence_values(spec, ends).reshape(2, -1)
+        s -= spec.limit_value
+        s_range = m_lo, s.min(axis=0), s.max(axis=0)
+    for eps in eps_list:
+        if k:
+            np.greater_equal(head, eps, out=mask[:k])
+        if first <= last:
+            _cutoff_mask(spec, eps, stats.n[k:], values[k:], s_range, mask[k:], spare[k:])
+        yield spec, eps, mask
+
+
+def _cutoff_mask(
+    spec: SequenceSpec,
+    eps: float,
+    n: np.ndarray,
+    values: np.ndarray,
+    s_range: tuple[int, np.ndarray, np.ndarray],
+    mask: np.ndarray,
+    spare: np.ndarray,
+) -> None:
+    """Write deviation >= eps at the consecutive n, whose field values are
+    `values`, into `mask`, from the least value m_lo and the least and
+    greatest s = x - L over n of each value m_lo, m_lo + 1, ..."""
+    m_lo, s_min, s_max = s_range
+    member = (s_min >= eps + _DELTA) | (s_max <= -eps - _DELTA)
+    inside = (s_min > _DELTA - eps) & (s_max < eps - _DELTA)
+    run = np.flatnonzero(inside)
+    if not len(run):
+        mask.fill(True)
+    elif member[run[0] : run[-1]].any():
+        # members between non-members: a table indexed by the field
+        table = np.zeros(m_lo + len(member), dtype=bool)
+        table[m_lo:] = member
+        np.take(table, values, out=mask, mode="clip")
+    else:
+        # the members are the m on either side of the one run of non-members
+        np.greater_equal(values, m_lo + int(run[-1]) + 1, out=mask)
+        if run[0]:
+            mask |= np.less_equal(values, m_lo + int(run[0]) - 1, out=spare)
+    undecided = np.flatnonzero(~(member | inside))
+    if len(undecided):
+        u_lo, u_hi = m_lo + int(undecided[0]), m_lo + int(undecided[-1])
+        idx = np.flatnonzero((values >= u_lo) & (values <= u_hi))
+        if len(idx):
+            mask[idx] = deviation(spec, _field_stats(spec, n[idx], values[idx])) >= eps
 
 
 def exceptional_scan(
@@ -231,44 +338,73 @@ def exceptional_scan(
     (spec, eps) pairs, where start is the least start_n among the specs.
 
     For each block it yields the block's stats, with the masks for
-    `smooth_bounds`, and an iterator over the pairs of (spec, eps, mask,
-    dev): mask is the bool array dev >= eps, so the block's members are
-    stats.lo + np.flatnonzero(mask), and dev is the spec's `deviation`.  The
-    pairs come grouped by spec in order of first appearance, so dev is
-    computed once per block for all of a spec's eps.
+    `smooth_bounds`, and an iterator over the pairs of (spec, eps, mask):
+    mask is the bool array `deviation(spec, stats) >= eps`, so the block's
+    members are stats.lo + np.flatnonzero(mask).  The pairs come grouped by
+    spec in order of first appearance.
 
-    The scan owns one buffer for dev and one for mask, sized for the first
-    block and reused by every block, so that no block takes fresh pages for
-    them: mask is valid only until the iterator moves on to the next pair,
-    and dev until it moves on to the next spec.  `stats.ln_n` and
-    `stats.lnln_n` share iter_blocks' buffers, valid until the next block.
-    Every other array of the stats is the caller's to keep.
+    The mask is decided on the block's integer field F, without a float
+    per n.  x_n is a function x(m, n) of n and one field value m (h_min,
+    h_max, ap[p], exp_gcd, omega, big_omega or div_count), and for each m it
+    is monotone in n from start_n on (lnln n > 0 from n = 3).  So one
+    `sequence_values` call on a tiny array, every m from F.min() to F.max()
+    at n = first and n = hi - 1, bounds s = x - L over [first, hi) for each
+    m.  Each m lands in one of four zones, with the margin δ = 1e-9: member
+    above (s >= eps + δ at both ends), member below (s <= -eps - δ at
+    both), non-member (|s| < eps - δ at both), or undecided.  The zones are
+    signed: an m whose x falls from above L + eps to below L - eps inside
+    the block has |s| >= eps at both ends, yet is undecided.  The mask is
+    then (F >= a) | (F <= b), the m on either side of the one run of
+    non-members; where a decided member lies inside that run (the exp_gcd
+    tables are not monotone in m) it is a bool table indexed by F.  The
+    positions whose value lies in the range of the undecided m take their
+    bits from `deviation` on just those positions, through the same
+    `sequence_values`, so today's floats decide them.  So does the head of
+    the block below first = max(lo, start_n, (hi - 1) // 2 + 1): the n below
+    start_n, and in a block that more than doubles n (a scan's first), the
+    n up to (hi - 1) / 2, over which x moves too far for the cut-offs to
+    decide many values.
+
+    δ rests on a bound, not on tuning: for n >= start_n, `sequence_values`
+    computes x within 1e-11 of its real value (|x| < 700, as big_omega <= 63
+    and lnln n > 0.09, and a few roundings of relative size 2**-52,
+    amplified at most 1 / lnln 3 < 11 times).  When the float s at both ends
+    lies δ inside a zone, the real s at both ends lies inside it by
+    δ - 1e-11, hence, x being monotone, at every n between them, and so does
+    the float s there: the mask bit is the one `deviation` gives.
+
+    The scan owns one bool buffer for the mask and one for scratch, sized
+    for the first block and reused by every block, so that no block takes
+    fresh pages for them: mask is valid only until the iterator moves on to
+    the next pair.  Every array of the stats is the caller's to keep, except
+    `stats.ln_n` and `stats.lnln_n`, which the scan does not read and which
+    share iter_blocks' buffers, valid until the next block.
     """
     by_spec: dict[SequenceSpec, list[float]] = {}
     for spec, eps in pairs:
         _require_eps(eps)
+        if SEQUENCE_KEYS[spec.key][2] is None:
+            raise _no_bulk_values(spec.key)
         by_spec.setdefault(spec, []).append(eps)
     if not by_spec:
         return
 
-    def hits(stats: BlockStats, dev_out: np.ndarray, mask_out: np.ndarray):
+    def hits(stats: BlockStats, mask_out: np.ndarray, spare: np.ndarray):
         for spec, eps_list in by_spec.items():
-            dev = deviation(spec, stats, dev_out)
-            for eps in eps_list:
-                yield spec, eps, np.greater_equal(dev, eps, out=mask_out), dev
+            yield from _block_masks(spec, eps_list, stats, mask_out, spare)
 
-    dev_buf = mask_buf = None
+    mask_buf = spare_buf = None
     for stats in iter_blocks(
         limit,
-        frozenset().union(*(SEQUENCE_KEYS[s.key][2] for s in by_spec)),
+        frozenset(SEQUENCE_KEYS[s.key][2] for s in by_spec) - {"ap"},
         ap_primes=tuple(sorted({s.p for s in by_spec if s.p is not None})),
         smooth_bounds=smooth_bounds,
         start=min(s.start_n for s in by_spec),
     ):
         size = stats.hi - stats.lo
-        if dev_buf is None:  # no later block is larger than the first
-            dev_buf, mask_buf = np.empty(size), np.empty(size, dtype=bool)
-        yield stats, hits(stats, dev_buf[:size], mask_buf[:size])
+        if mask_buf is None:  # no later block is larger than the first
+            mask_buf, spare_buf = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+        yield stats, hits(stats, mask_buf[:size], spare_buf[:size])
 
 
 def exceptional_members(
@@ -285,7 +421,7 @@ def exceptional_members(
             yield members
         return
     for stats, hits in exceptional_scan(((spec, eps),), limit):
-        for *_, mask, _ in hits:
+        for *_, mask in hits:
             idx = np.flatnonzero(mask)
             if len(idx):
                 idx += stats.lo  # in place: one array per block is held, not two
@@ -356,7 +492,7 @@ def envelope_value(kind: str, x: float, eps: float, p: int | None = None) -> flo
 
 
 def default_envelope(spec: SequenceSpec) -> str | None:
-    return SEQUENCE_KEYS[spec.key][4]
+    return SEQUENCE_KEYS[spec.key][3]
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +636,7 @@ def _tally(
             tally.absorb(members, limit + 1)
     else:
         for stats, hits in exceptional_scan(((spec, eps),), limit):
-            for *_, mask, _ in hits:
+            for *_, mask in hits:
                 tally.absorb_mask(mask, stats.lo, stats.hi)
     # checkpoints past the last member
     tally.absorb(np.empty(0, dtype=np.int64), limit + 1)

@@ -52,6 +52,7 @@ from .convergence import (
     SequenceSpec,
     Tally,
     default_envelope,
+    deviation,
     envelope_rows,
     exceptional_scan,
     pascal_distances,
@@ -268,14 +269,15 @@ def statement_suite(
             gamma = {eps: np.empty(hi - lo, dtype=bool) for eps in differ}
         for b, tally in smooth.items():
             tally.absorb_mask(stats.smooth_ok[b], lo, hi)
-        for spec, eps, mask, dev in hits:
+        for spec, eps, mask in hits:
             tallies[(spec.label, eps)].absorb_mask(mask, lo, hi)
             if spec.key == "min_exponent_over_log":
                 b = smooth_bounds[eps]
-                vio = violations[eps]  # dev is x_n itself, as L = 0
+                vio = violations[eps]
                 if len(vio) < 5:
                     bad = mask if b is None else mask & ~stats.smooth_ok[b]
                     if bad.any():
+                        dev = deviation(spec, stats)  # x_n itself, as L = 0
                         vio += [(lo + int(i), float(dev[i])) for i in np.flatnonzero(bad)[:5]]
             elif differ and spec.key == "power_rep_count":
                 # copied before tau's pair reuses the scan's mask buffer

@@ -718,3 +718,12 @@ def test_failed_construct_leaves_out_file_alone(capsys, tmp_path):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "long double range" in err
     assert path.read_bytes() == b"kept\n"
+
+
+def test_construct_refuses_negative_terms_before_out(capsys, tmp_path):
+    path = tmp_path / "set.txt"
+    path.write_bytes(b"kept\n")
+    argv = ["construct", "--power", "0.5", "--terms", "-1", "--out", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: prefix length must be >= 0, got -1\n")
+    assert path.read_bytes() == b"kept\n"

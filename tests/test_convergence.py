@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -34,11 +35,13 @@ PASCAL = sequence_spec("pascal_count")
 H_MIN = sequence_spec("min_exponent_over_log")
 
 
-def _in_blocks_of(monkeypatch, size):
-    """Run every scan of `convergence` in sieve blocks of `size` integers."""
+def _in_blocks_of(monkeypatch, size, start=None):
+    """Run every scan of `convergence` in sieve blocks of `size` integers,
+    from `start` on when it is given."""
+    moved = {"block_size": size} if start is None else {"block_size": size, "start": start}
 
     def sized(*args, **kwargs):
-        yield from iter_blocks(*args, **{**kwargs, "block_size": size})
+        yield from iter_blocks(*args, **{**kwargs, **moved})
 
     monkeypatch.setattr(convergence_mod, "iter_blocks", sized)
 
@@ -166,7 +169,7 @@ def test_prime_valuation_tie_at_eps_one_is_exact():
     specs = {p: sequence_spec("valuation_scaled", p=p) for p in primes}
     got = {p: [] for p in primes}
     for stats, hits in exceptional_scan([(s, 1.0) for s in specs.values()], limit):
-        for spec, _, mask, _ in hits:
+        for spec, _, mask in hits:
             got[spec.p] += (np.flatnonzero(mask) + stats.lo).tolist()
     for p in primes:
         want = [p**k for k in range(1, 30) if p**k <= limit]
@@ -224,20 +227,127 @@ def test_collected_members_equal_blocks_taken_one_at_a_time(monkeypatch):
 
 
 def test_scan_buffers_hold_each_block_and_spec(monkeypatch):
-    # dev, the mask and the logs, read while they are valid, equal fresh arrays
+    # the mask and the logs, read while they are valid, equal fresh arrays
     _in_blocks_of(monkeypatch, 4097)
     pairs = [(spec, eps) for spec in _LOG_SPECS for eps in (0.25, 1.0)]
     for stats, hits in exceptional_scan(pairs, 3 * 10**5):
         fresh_ln = np.log(stats.n.astype(np.float64))
-        for spec, eps, mask, dev in hits:
+        for spec, eps, mask in hits:
             np.testing.assert_array_equal(stats.ln_n, fresh_ln)
             np.testing.assert_array_equal(stats.lnln_n, np.log(fresh_ln))
             want = convergence_mod.deviation(spec, stats)
-            np.testing.assert_array_equal(dev, want, err_msg=spec.label)
             np.testing.assert_array_equal(mask, want >= eps)
             np.testing.assert_array_equal(
                 np.flatnonzero(mask), np.flatnonzero(want >= eps)
             )
+
+
+# every sequence the scan decides by cut-offs on a block field
+_CUTOFF_SPECS = [
+    sequence_spec(key, p=p)
+    for key, p in (
+        ("min_exponent_over_log", None),
+        ("max_exponent_over_log", None),
+        ("valuation_scaled", 2),
+        ("valuation_scaled", 3),
+        ("valuation_scaled", 5),
+        ("power_rep_count", None),
+        ("power_rep_weight", None),
+        ("omega_over_loglog", None),
+        ("bigomega_over_loglog", None),
+        ("loglog_f", None),
+        ("loglog_fstar", None),
+    )
+]
+
+
+def _check_masks(pairs, limit, oracle=convergence_mod.deviation):
+    """Scan the pairs to `limit` and check every mask against oracle >= eps;
+    the number of masks checked."""
+    checked = 0
+    for stats, hits in exceptional_scan(pairs, limit):
+        devs = {}
+        for spec, eps, mask in hits:
+            if spec not in devs:
+                devs[spec] = oracle(spec, stats)
+            wrong = np.flatnonzero(mask != (devs[spec] >= eps)) + stats.lo
+            assert not len(wrong), (spec.label, eps, wrong[:5].tolist())
+            checked += 1
+    return checked
+
+
+def test_scan_masks_equal_deviation_masks(monkeypatch):
+    # the cut-offs against the per-n floats they stand in for, on the tie
+    # tolerances and others; the single blocks hold 2**40 and 3**25, where
+    # x_n of valuation_scaled is exactly 1, a tie at eps = 1
+    eps_grid = (*_TIE_EPS, 0.1, 1 / 3, 0.75, 2.0, 3.0)
+    pairs = [(spec, eps) for spec in _CUTOFF_SPECS for eps in eps_grid]
+    assert _check_masks(pairs, 10**6) == 8 * len(pairs)
+    for start in (10**9, 10**12, 2**40 - 5000, 3**25 - 100):
+        _in_blocks_of(monkeypatch, 10**4, start)
+        assert _check_masks(pairs, start + 10**4 - 1) == len(pairs), start
+
+
+@pytest.mark.parametrize("size", [64, 999, 4097])
+def test_zones_are_signed(monkeypatch, size):
+    # in the first blocks, x of a value m can fall from above L + eps to below
+    # L - eps: |x - L| >= eps at both ends of the block, yet some n between
+    # are not members, so the zones of the two ends must agree in sign
+    _in_blocks_of(monkeypatch, size)
+    keys = ("omega_over_loglog", "bigomega_over_loglog", "loglog_f", "loglog_fstar")
+    eps_grid = (0.01, 0.02, 0.03, 0.04, 0.05)
+    pairs = [(sequence_spec(key), eps) for key in keys for eps in eps_grid]
+    _check_masks(pairs, 3 * 10**5)
+
+
+def test_masks_equal_deviation_when_every_value_is_undecided(monkeypatch):
+    # a margin that no end clears leaves every value of every block to the
+    # fallback, deviation on the gathered positions
+    gathered = []
+    oracle = convergence_mod.deviation
+
+    def spy(spec, stats):
+        gathered.append(len(stats.n))
+        return oracle(spec, stats)
+
+    monkeypatch.setattr(convergence_mod, "_DELTA", 1e9)
+    monkeypatch.setattr(convergence_mod, "deviation", spy)
+    pairs = [(spec, eps) for spec in _CUTOFF_SPECS for eps in (0.25, 1.0, 3.0)]
+    for start, size, limit in ((2, 4097, 2 * 10**5), (3**25 - 100, 10**4, 3**25 + 9899)):
+        _in_blocks_of(monkeypatch, size, start)
+        gathered.clear()
+        masks = _check_masks(pairs, limit, oracle)
+        # a gathering per mask (only x = -inf, of loglog_fstar at the primes,
+        # clears any margin)
+        assert len(gathered) >= masks
+
+
+def test_scan_does_not_warn():
+    # the ends are evaluated at the field values between the block's least
+    # and greatest, never at one that cannot occur (log of d(n)/2 - 1 <= 0)
+    pairs = [(spec, eps) for spec in _CUTOFF_SPECS for eps in _TIE_EPS]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _, hits in exceptional_scan(pairs, 3 * 10**5):
+            for _ in hits:
+                pass
+
+
+def test_valuation_values_of_gathered_n():
+    # x_n = 1 at n = p**k is found by n: in positions gathered from a block,
+    # and where one n holds several field values, only at the valuation k
+    spec = sequence_spec("valuation_scaled", p=5)
+    (stats,) = iter_blocks(200, frozenset(), ap_primes=(5,), start=100)
+    whole = convergence_mod.sequence_values(spec, stats)
+    idx = np.array([0, 24, 25, 26, 100])  # n = 100, 124, 125, 126, 200
+    sub = convergence_mod._field_stats(spec, stats.n[idx], stats.ap[5][idx])
+    got = convergence_mod.sequence_values(spec, sub)
+    np.testing.assert_array_equal(got, whole[idx])
+    assert got[2] == 1.0
+    n = np.full(3, 125, dtype=np.int64)
+    ends = convergence_mod._field_stats(spec, n, np.array([2, 3, 4]))
+    lo, one, hi = convergence_mod.sequence_values(spec, ends)
+    assert lo < one == 1.0 < hi
 
 
 def test_exceptional_eps_validation():
