@@ -25,21 +25,16 @@ views of their own, beside the sweep.
 perfect k-th power, so it is written at the k-th powers m**k in the block,
 whose bases m come from integer roots of the block's ends.  Blocks hold
 BLOCK integers, so every field array is at most 1 MB (the cache-sized
-segments of Bays & Hudson, *BIT* 17, 1977).  An array freed at the end of a
-block is not reliably reused by the next one: glibc can give the pages back
-to the OS between blocks and fault them in again.  So the running product
-`value`, which never leaves the sieve, is one buffer reused by every block,
-and so are the two that `ln_n` and `lnln_n` are written into; the field
-arrays are fresh, and stay valid after the next block.  `small_primes`
-sieves the primes in segments too, of a megabyte of odd-number flags each;
-it is the package's one prime generator besides `arith.is_prime`.
+segments of Bays & Hudson, *BIT* 17, 1977), and each is the block's own.
+`small_primes` sieves the primes in segments too, of a megabyte of
+odd-number flags each; it is the package's one prime generator besides
+`arith.is_prime`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -114,16 +109,11 @@ class BlockStats:
       exp_gcd         int8   gcd of the exponents
       ap[p]           int8   exponent of the prime p
       smooth_ok[p0]   bool   n has no prime factor above p0
-
-    `ln_n` and `lnln_n` are computed on first read into `log_buf`, two
-    float64 arrays of len(n) that iter_blocks reuses for every block, so they
-    are valid only until the next block's logs are read.
     """
 
     lo: int
     hi: int
     n: np.ndarray
-    log_buf: tuple[np.ndarray, np.ndarray] = field(repr=False)
     h_min: np.ndarray | None = None
     h_max: np.ndarray | None = None
     omega: np.ndarray | None = None
@@ -132,16 +122,6 @@ class BlockStats:
     exp_gcd: np.ndarray | None = None
     ap: dict[int, np.ndarray] = field(default_factory=dict)
     smooth_ok: dict[int, np.ndarray] = field(default_factory=dict)
-
-    @cached_property
-    def ln_n(self) -> np.ndarray:
-        """log n, computed once per block for every sequence that reads it."""
-        return np.log(self.n, out=self.log_buf[0])
-
-    @cached_property
-    def lnln_n(self) -> np.ndarray:
-        """log log n, likewise once per block."""
-        return np.log(self.ln_n, out=self.log_buf[1])
 
 
 def _exp_gcd(lo: int, hi: int) -> np.ndarray:
@@ -174,8 +154,7 @@ def iter_blocks(
     masks for each bound p0, given in any order, each read once after the
     piece of swept primes that ends at p0.  `limit` must be below 2**63, the
     primes swept, up to isqrt(limit), at most PRIME_BOUND_CAP, and
-    `block_size` at least 1.  Every yielded field array is the block's own;
-    the logs share two buffers across the blocks (see BlockStats).
+    `block_size` at least 1.  Every yielded array is the block's own.
     """
     unknown = set(fields) - FIELD_NAMES
     if unknown:
@@ -194,17 +173,12 @@ def iter_blocks(
     bounds = sorted(set(smooth_bounds))
     need_full = bool(bounds) or not fields.isdisjoint(_SWEPT)
     primes = small_primes(math.isqrt(limit)) if need_full else None
-    # buffers for each block's running product and logs, sized for the
-    # first block, which no later block exceeds
-    first = min(block_size, limit + 1 - start)
-    value_buf = np.empty(first, dtype=np.int64)
-    log_buf = (np.empty(first), np.empty(first))
 
     for lo in range(start, limit + 1, block_size):
         hi = min(lo + block_size, limit + 1)
         size = hi - lo
         n_arr = np.arange(lo, hi, dtype=np.int64)
-        stats = BlockStats(lo=lo, hi=hi, n=n_arr, log_buf=(log_buf[0][:size], log_buf[1][:size]))
+        stats = BlockStats(lo=lo, hi=hi, n=n_arr)
         for name, (dtype, unswept) in _SWEPT.items():
             if name in fields:
                 setattr(stats, name, np.full(size, unswept, dtype=dtype))
@@ -220,8 +194,7 @@ def iter_blocks(
 
         if need_full:
             # running product of the prime powers found so far; it divides n
-            value = value_buf[:size]
-            value.fill(1)
+            value = np.ones(size, dtype=np.int64)
             swept = primes[: np.searchsorted(primes, math.isqrt(hi - 1), side="right")]
             pieces = np.split(swept, np.searchsorted(swept, bounds, side="right"))
             for i, piece in enumerate(pieces):

@@ -277,10 +277,16 @@ def _cmd_fn(args) -> int:
 
 def _cmd_construct(args) -> int:
     a = _build_set(args)
-    # a set that fails to generate fails before --out is opened; prefix
-    # refuses a negative count
+    # a set that fails to generate, or that has a term too long for str(),
+    # fails before --out is opened; prefix refuses a negative count
     if args.terms >= 1:
-        a.term(args.terms)
+        last = a.term(args.terms)
+        cap = sys.get_int_max_str_digits()  # 0 is no limit
+        if cap and last >= 10**cap:
+            raise InvalidArgumentError(
+                f"term {a.count(10**cap - 1) + 1} has more than {cap} digits, the "
+                "limit of sys.get_int_max_str_digits() for writing an int"
+            )
     else:
         a.prefix(args.terms)
     with _output(args) as fp:

@@ -134,7 +134,7 @@ def sequence_values(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
         return _D_SMALL[stats.exp_gcd]
     if key == "power_rep_weight":
         return _SIGMA_SMALL[stats.exp_gcd]
-    ln_n = stats.ln_n
+    ln_n = np.log(stats.n)
     if key == "min_exponent_over_log":
         return stats.h_min / ln_n
     if key == "max_exponent_over_log":
@@ -156,7 +156,7 @@ def sequence_values(spec: SequenceSpec, stats: BlockStats) -> np.ndarray:
                 v[i:j][ap[i:j] == k] = 1.0
             pk, k = pk * spec.p, k + 1
         return v
-    lnln_n = stats.lnln_n
+    lnln_n = np.log(ln_n)
     with np.errstate(divide="ignore"):
         if key == "omega_over_loglog":
             return stats.omega / lnln_n
@@ -244,8 +244,7 @@ def _field_stats(spec: SequenceSpec, n: np.ndarray, values: np.ndarray) -> Block
     """Stats of the non-decreasing int64 n that hold only the spec's field,
     as `values`: positions gathered from a block, or chosen pairs of n and a
     field value, for `sequence_values`."""
-    size = len(n)
-    stats = BlockStats(int(n[0]), int(n[-1]) + 1, n, (np.empty(size), np.empty(size)))
+    stats = BlockStats(int(n[0]), int(n[-1]) + 1, n)
     name = SEQUENCE_KEYS[spec.key][2]
     if name == "ap":
         stats.ap[spec.p] = values
@@ -263,12 +262,10 @@ def _block_masks(
     spec: SequenceSpec,
     eps_list: list[float],
     stats: BlockStats,
-    mask: np.ndarray,
-    spare: np.ndarray,
 ) -> Iterator[tuple[SequenceSpec, float, np.ndarray]]:
-    """(spec, eps, mask) for each eps, the mask written into `mask`: by
+    """(spec, eps, mask) for each eps, each mask a fresh array: by
     `deviation` over the head of the block, and by cut-offs on the spec's
-    field values from n = first on; `spare` is scratch."""
+    field values from n = first on."""
     values = _field(spec, stats)
     last = stats.hi - 1
     # the head is the n below start_n and, in a block that more than doubles
@@ -286,10 +283,11 @@ def _block_masks(
         s -= spec.limit_value
         s_range = m_lo, s.min(axis=0), s.max(axis=0)
     for eps in eps_list:
+        mask = np.empty(stats.hi - stats.lo, dtype=bool)
         if k:
             np.greater_equal(head, eps, out=mask[:k])
         if first <= last:
-            _cutoff_mask(spec, eps, stats.n[k:], values[k:], s_range, mask[k:], spare[k:])
+            _cutoff_mask(spec, eps, stats.n[k:], values[k:], s_range, mask[k:])
         yield spec, eps, mask
 
 
@@ -300,7 +298,6 @@ def _cutoff_mask(
     values: np.ndarray,
     s_range: tuple[int, np.ndarray, np.ndarray],
     mask: np.ndarray,
-    spare: np.ndarray,
 ) -> None:
     """Write deviation >= eps at the consecutive n, whose field values are
     `values`, into `mask`, from the least value m_lo and the least and
@@ -320,7 +317,7 @@ def _cutoff_mask(
         # the members are the m on either side of the one run of non-members
         np.greater_equal(values, m_lo + int(run[-1]) + 1, out=mask)
         if run[0]:
-            mask |= np.less_equal(values, m_lo + int(run[0]) - 1, out=spare)
+            mask |= values <= m_lo + int(run[0]) - 1
     undecided = np.flatnonzero(~(member | inside))
     if len(undecided):
         u_lo, u_hi = m_lo + int(undecided[0]), m_lo + int(undecided[-1])
@@ -341,7 +338,7 @@ def exceptional_scan(
     `smooth_bounds`, and an iterator over the pairs of (spec, eps, mask):
     mask is the bool array `deviation(spec, stats) >= eps`, so the block's
     members are stats.lo + np.flatnonzero(mask).  The pairs come grouped by
-    spec in order of first appearance.
+    spec in order of first appearance.  Every array yielded is the caller's.
 
     The mask is decided on the block's integer field F, without a float
     per n.  x_n is a function x(m, n) of n and one field value m (h_min,
@@ -372,13 +369,6 @@ def exceptional_scan(
     lies δ inside a zone, the real s at both ends lies inside it by
     δ - 1e-11, hence, x being monotone, at every n between them, and so does
     the float s there: the mask bit is the one `deviation` gives.
-
-    The scan owns one bool buffer for the mask and one for scratch, sized
-    for the first block and reused by every block, so that no block takes
-    fresh pages for them: mask is valid only until the iterator moves on to
-    the next pair.  Every array of the stats is the caller's to keep, except
-    `stats.ln_n` and `stats.lnln_n`, which the scan does not read and which
-    share iter_blocks' buffers, valid until the next block.
     """
     by_spec: dict[SequenceSpec, list[float]] = {}
     for spec, eps in pairs:
@@ -389,11 +379,10 @@ def exceptional_scan(
     if not by_spec:
         return
 
-    def hits(stats: BlockStats, mask_out: np.ndarray, spare: np.ndarray):
+    def hits(stats: BlockStats):
         for spec, eps_list in by_spec.items():
-            yield from _block_masks(spec, eps_list, stats, mask_out, spare)
+            yield from _block_masks(spec, eps_list, stats)
 
-    mask_buf = spare_buf = None
     for stats in iter_blocks(
         limit,
         frozenset(SEQUENCE_KEYS[s.key][2] for s in by_spec) - {"ap"},
@@ -401,10 +390,7 @@ def exceptional_scan(
         smooth_bounds=smooth_bounds,
         start=min(s.start_n for s in by_spec),
     ):
-        size = stats.hi - stats.lo
-        if mask_buf is None:  # no later block is larger than the first
-            mask_buf, spare_buf = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-        yield stats, hits(stats, mask_buf[:size], spare_buf[:size])
+        yield stats, hits(stats)
 
 
 def exceptional_members(

@@ -309,11 +309,11 @@ class Checkpoints:
 
 
 def _as_fraction(s: float | Fraction) -> Fraction | None:
-    """Recognize s as a small exact rational, else None."""
+    """Recognize s as a small exact rational other than 0, else None."""
     if isinstance(s, Fraction):
         return s
     frac = Fraction(s).limit_denominator(1000)
-    return frac if abs(float(frac) - float(s)) < 1e-12 else None
+    return frac if frac and abs(float(frac) - float(s)) < 1e-12 else None
 
 
 def power_set(s: float | Fraction) -> IntegerSet:
@@ -346,13 +346,17 @@ def _power_chunks(den: int) -> Iterator[Chunk]:
     Past 2**63, with a the largest exponent that keeps the chunk's n**a
     below 2**63, a chunk is n**r * (n**a)**k (den = k*a + r, 1 <= r <= a):
     the int64 powers n**r and n**a as lists of Python ints, multiplied
-    element by element, with (n**a)**k taken by squaring."""
-    for lo in itertools.count(1, CHUNK):
-        hi = lo + CHUNK
-        n = np.arange(lo, hi, dtype=np.int64)
+    element by element, with (n**a)**k taken by squaring.  Such a chunk is
+    cut short to about 2**24 bits, so that a large den does not compute
+    thousands of powers when a few are asked for."""
+    hi = 1
+    while True:
+        lo, hi = hi, hi + CHUNK
         if (hi - 1) ** den < 2**63:
-            yield n**den
+            yield np.arange(lo, hi, dtype=np.int64) ** den
             continue
+        hi = lo + max(1, min(CHUNK, (1 << 24) // (den * (hi - 1).bit_length())))
+        n = np.arange(lo, hi, dtype=np.int64)
         a = 1
         while (hi - 1) ** (a + 1) < 2**63:
             a += 1

@@ -51,6 +51,7 @@ from .bulk import BLOCK, small_primes
 from .convergence import (
     SequenceSpec,
     Tally,
+    _field_stats,
     default_envelope,
     deviation,
     envelope_rows,
@@ -259,14 +260,12 @@ def statement_suite(
     violations: dict[float, list[tuple[int, float]]] = {eps: [] for eps in eps_grid}
     # per eps, the members of one IV/V set that the other lacks
     differ = {eps: Tally() for eps in eps_grid} if {"IV", "V"} <= set(stmts) else {}
-    gamma = None  # gamma's masks, one buffer per eps that every block reuses
+    gamma: dict[float, np.ndarray] = {}  # the block's gamma mask per eps
 
     pairs = [(spec, eps) for sp in scan.values() for spec in sp for eps in eps_grid]
     for stats, hits in exceptional_scan(pairs, limit, bounds):
         # a mask indexes the block: its members are n = lo + index
         lo, hi = stats.lo, stats.hi
-        if gamma is None:  # no later block is larger than the first
-            gamma = {eps: np.empty(hi - lo, dtype=bool) for eps in differ}
         for b, tally in smooth.items():
             tally.absorb_mask(stats.smooth_ok[b], lo, hi)
         for spec, eps, mask in hits:
@@ -277,14 +276,14 @@ def statement_suite(
                 if len(vio) < 5:
                     bad = mask if b is None else mask & ~stats.smooth_ok[b]
                     if bad.any():
-                        dev = deviation(spec, stats)  # x_n itself, as L = 0
-                        vio += [(lo + int(i), float(dev[i])) for i in np.flatnonzero(bad)[:5]]
+                        idx = np.flatnonzero(bad)[:5]
+                        at = _field_stats(spec, stats.n[idx], stats.h_min[idx])
+                        dev = deviation(spec, at)  # x_n itself, as L = 0
+                        vio += [(lo + int(i), float(d)) for i, d in zip(idx, dev)]
             elif differ and spec.key == "power_rep_count":
-                # copied before tau's pair reuses the scan's mask buffer
-                np.copyto(gamma[eps][: hi - lo], mask)
+                gamma[eps] = mask
             elif differ and spec.key == "power_rep_weight":
-                g = gamma[eps][: hi - lo]
-                differ[eps].absorb_mask(np.not_equal(g, mask, out=g), lo, hi)
+                differ[eps].absorb_mask(np.not_equal(gamma[eps], mask, out=mask), lo, hi)
 
     vi_checks = (
         _statement_vi_checks(eps_grid, limit, cps, pascal_check_limit)

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface via main(argv)."""
 
 import json
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -634,12 +635,37 @@ def test_fn_ap_of_a_huge_prime(capsys):
             ("fn", "N", "5:1000005"),
             "fn ranges hold at most 1000000 values, got 1000001",
         ),
+        # an exponent that rounds to the fraction 0 takes the float path
+        (("lambda", "--power", "1e-13"), "power(1e-13): term 2 exceeds the long double range"),
+        (
+            ("classify", "--power", "1e-300", "--ideal", "less", "--q", "0.5"),
+            "power(1e-300): term 2 exceeds the long double range",
+        ),
+        (
+            ("construct", "--power", "1e-13", "--terms", "2"),
+            "power(1e-13): term 2 exceeds the long double range",
+        ),
+        (
+            ("construct", "--power", "1e-300", "--terms", "2"),
+            "power(1e-300): term 2 exceeds the long double range",
+        ),
+        # a term too long for str(), exact (2**15000) or from long doubles
+        (
+            ("construct", "--power", "1/15000", "--terms", "2"),
+            f"term 2 has more than {sys.get_int_max_str_digits()} digits",
+        ),
+        (
+            ("construct", "--power", "0.0001", "--terms", "3"),
+            f"term 3 has more than {sys.get_int_max_str_digits()} digits",
+        ),
     ],
     ids=[
         "fn-ap-2**70", "verify-eps-0.05", "fn-omega-2**62", "fn-ap-p4", "aeps-ap-p4",
         "construct-smooth-4", "aeps-ap-2**89-1",
         "verify-eps-nan", "aeps-eps-nan", "classify-delta-nan", "verify-eps-repeated",
         "fn-omega-10**8-values", "fn-N-10**6+1-values",
+        "lambda-power-1e-13", "classify-power-1e-300", "construct-power-1e-13",
+        "construct-power-1e-300", "construct-power-1/15000", "construct-power-0.0001",
     ],
 )
 def test_bad_input_exits_2_at_once(capsys, argv, message):
@@ -727,3 +753,16 @@ def test_construct_refuses_negative_terms_before_out(capsys, tmp_path):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: prefix length must be >= 0, got -1\n")
     assert path.read_bytes() == b"kept\n"
+
+
+def test_construct_refuses_a_term_too_long_to_write_before_out(capsys, tmp_path):
+    path = tmp_path / "set.txt"
+    argv = ["construct", "--power", "1/15000", "--terms", "2", "--out", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "term 2 has more than" in err
+    assert not path.exists()
+    # the sets themselves are fine: only writing their terms is refused
+    code, _, err = run(capsys, "lambda", "--power", "1/15000", "--terms", "300")
+    assert code == 0 and err == ""
+    code, _, err = run(capsys, "classify", "--power", "0.0001", "--ideal", "less", "--q", "0.5")
+    assert code == 0 and err == ""

@@ -111,7 +111,8 @@ def test_power_floor_exact_at_chunk_edges(s, terms, crossing):
     # past 2**63, n**den = n**r * (n**a)**k from int64 powers: one product
     # (n**4 = n * n**3 near 3*10**5, n**6 = n**3 * n**3), and (n**a)**k by
     # squaring (n**13 = n**3 * (n**5)**2 in the first chunk, n**64 =
-    # n**4 * (n**5)**12, n**1000 = n**5 * (n**5)**199)
+    # n**4 * (n**5)**12, n**1000 = n**5 * (n**5)**199, in chunks cut short
+    # to 1290 terms)
     [
         (4, 300_000),
         (5, 300_000),
