@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -491,7 +492,10 @@ def _add_set_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--file", help="set from a file, one integer per line")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: `parse_args` keeps no state
+    between calls, so every `main` call shares it."""
     ap = argparse.ArgumentParser(
         prog="idealconv",
         description="Convergence exponents, growth ideals, and exceptional sets "

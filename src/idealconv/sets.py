@@ -16,6 +16,7 @@ file input.
 from __future__ import annotations
 
 import heapq
+import io
 import itertools
 import math
 import operator
@@ -376,13 +377,19 @@ def _power_chunks(den: int) -> Iterator[Chunk]:
 # 4e-15 relative (the rounding of e costs at most log(2**52) half-ulps).
 _LOG_FLOAT_EXACT = 52 * math.log(2)
 
+# Bits of n**den that one chunk of integer roots takes at most.
+_ROOT_BITS = 1 << 20
+
 
 def _root_chunks(num: int, den: int) -> Iterator[Chunk]:
     """floor(n ** (den/num)) for n >= 1 and num > 1, exactly, by chunks:
-    int64 arrays below 2**52, lists past it."""
+    int64 arrays below 2**52, lists past it.  A chunk past 2**52 is cut short
+    to about _ROOT_BITS bits of n**den, so that a large den does not take
+    thousands of roots when a few terms are asked for."""
     e = den / num
-    for lo in itertools.count(1, CHUNK):
-        hi = lo + CHUNK
+    hi = 1
+    while True:
+        lo, hi = hi, hi + CHUNK
         if e * math.log(hi - 1) < _LOG_FLOAT_EXACT:
             v = np.arange(lo, hi, dtype=np.float64) ** e
             f = np.floor(v)
@@ -393,6 +400,7 @@ def _root_chunks(num: int, den: int) -> Iterator[Chunk]:
             for i in near.tolist():
                 out[i] = iroot((lo + i) ** den, num)
         else:
+            hi = lo + max(1, min(CHUNK, _ROOT_BITS // (den * (hi - 1).bit_length())))
             out = [iroot(n**den, num) for n in range(lo, hi)]
         yield out
 
@@ -603,16 +611,21 @@ def from_file(path: str) -> IntegerSet:
 
     Blank lines are ignored.  Raises DataFormatError naming the first
     offending line if a value is not an integer or not strictly increasing,
-    or if the line is not text.  The file is parsed as bytes, and the parsed
-    list is checked and buffered as one chunk (one int64 array below 2**63);
-    only a file that fails that parse or that check is parsed again line by
+    or if the line is not text.  The file is read once as bytes.  A file of
+    plain decimal lines (`_plain_decimal`) is parsed in numpy; any other
+    file is parsed with a bytes `int()` per line.  The parsed values are
+    checked and buffered as one chunk (one int64 array below 2**63); only a
+    file that fails the bytes parse or that check is parsed again line by
     line as text, which names the line.
     """
     with open(path, "rb") as fp:
+        data = fp.read()
+    values = _plain_decimal(data)
+    if values is None:
         try:
-            values = list(map(int, fp))
+            values = list(map(int, io.BytesIO(data)))
         except ValueError:  # a blank line, a non-integer or a non-ASCII digit
-            values = None
+            pass
     if values is not None:
         try:
             return _buffered(path, values)
@@ -623,12 +636,51 @@ def from_file(path: str) -> IntegerSet:
         return _buffered(path, _parse_lines(path, fp))
 
 
-def _buffered(path: str, values: list[int]) -> IntegerSet:
+# Runs of equal-length lines past which `_plain_decimal` declines a file; a
+# strictly increasing file without leading zeros has one run per digit count.
+_MAX_RUNS = 64
+
+
+def _plain_decimal(data: bytes) -> np.ndarray | None:
+    """The values of a file whose every line is 1 to 18 ASCII digits and a
+    newline, as int64, or None for any other file or for one of more than
+    _MAX_RUNS runs of equal-length lines.
+
+    Each run is a (rows, length + 1) array of digits, folded column by column
+    into int64 (acc * 10 + digit), exact as 18 digits stay below 2**63.
+    """
+    b = np.frombuffer(data, dtype=np.uint8)
+    if not b.size or b[-1] != ord("\n"):
+        return None
+    ends = np.flatnonzero(b == ord("\n"))
+    digits = b - np.uint8(ord("0"))  # a newline or any other byte wraps past 9
+    if np.count_nonzero(digits < 10) != b.size - ends.size:
+        return None
+    widths = np.diff(ends, prepend=-1)  # each line's digits and its newline
+    if widths.min() < 2 or widths.max() > 19:
+        return None
+    cuts = (np.flatnonzero(widths[1:] != widths[:-1]) + 1).tolist()
+    if len(cuts) >= _MAX_RUNS:
+        return None
+    out = np.empty(ends.size, dtype=np.int64)
+    for i, j in zip([0, *cuts], [*cuts, ends.size]):
+        w = int(widths[i])
+        start = int(ends[i]) + 1 - w
+        rows = digits[start : start + (j - i) * w].reshape(j - i, w)
+        acc = out[i:j]
+        acc[:] = rows[:, 0]
+        for c in range(1, w - 1):
+            acc *= 10
+            acc += rows[:, c]
+    return out
+
+
+def _buffered(path: str, values: list[int] | np.ndarray) -> IntegerSet:
     """The set of a file's parsed values, all in its buffer."""
-    if not values:
+    if not len(values):
         raise DataFormatError(f"{path}: no values found")
     chunk = values
-    if values[-1] < 2**63:
+    if isinstance(values, list) and values[-1] < 2**63:
         try:  # int() made every value an int, so no dtype needs inferring
             chunk = np.array(values, dtype=np.int64)
         except OverflowError:  # a value past 2**63 before the last: out of order

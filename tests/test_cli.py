@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from idealconv.cli import main
+from idealconv.cli import build_parser, main
 
 from oracles import power_term
 
@@ -489,6 +489,33 @@ def test_verify_refuses_fewer_than_three_checkpoints(capsys, checkpoints):
 def test_verify_unknown_statement(capsys):
     code, _, err = run(capsys, "verify", "--suite", "IX", "--limit", "100000")
     assert code == 2 and "unknown statements" in err
+
+
+@pytest.mark.parametrize(
+    "argv, name, extra, values",
+    [
+        (("verify", "--suite", "IV", "--limit", "100000"), "eps", ("--eps", "0.5"), [0.5]),
+        (
+            ("classify", "--power", "0.25", "--ideal", "less", "--q", "0.5"),
+            "delta",
+            ("--delta", "0.01", "--delta", "0.02"),
+            [0.01, 0.02],
+        ),
+    ],
+    ids=["verify-eps", "classify-delta"],
+)
+def test_repeatable_options_do_not_leak_between_calls(capsys, argv, name, extra, values):
+    # main builds its parser once per process; an `append` option given in
+    # one call must not reach the next
+    plain = (*argv, "--output", "json")
+    given = (*plain, *extra)
+    before = run(capsys, *plain)
+    assert run(capsys, *given) != before
+    assert run(capsys, *plain) == before
+    parser = build_parser()
+    assert parser is build_parser()
+    assert getattr(parser.parse_args(given), name) == values
+    assert getattr(parser.parse_args(plain), name) is None
 
 
 # ---------------------------------------------------------------------------

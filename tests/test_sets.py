@@ -3,13 +3,15 @@
 import io
 import itertools
 import math
+import re
+import time
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import numpy as np
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from idealconv import (
@@ -104,6 +106,27 @@ def test_power_floor_exact_at_chunk_edges(s, terms, crossing):
     if crossing is not None:
         bound = 2**63 if num == 1 else 2**52
         assert got[crossing - 1] < bound < got[crossing]
+
+
+@pytest.mark.parametrize("s", [Fraction(3, 1000), Fraction(2, 999), Fraction(3, 200)])
+def test_integer_root_chunks_are_cut_short_and_exact(s):
+    # past 2**52 from n = 2: each chunk takes about 2**20 bits of n**den, so
+    # the first holds about 80 to 400 terms, not CHUNK
+    num, den = s.numerator, s.denominator
+    chunks = list(itertools.islice(sets._root_chunks(num, den), 3))
+    assert all(len(chunk) < CHUNK for chunk in chunks)
+    got = [a for chunk in chunks for a in chunk]
+    for n, a in enumerate(got, start=1):
+        assert a**num <= n**den < (a + 1) ** num, (s, n, a)
+    assert got == power_set(s).prefix(len(got))
+
+
+def test_a_few_terms_of_a_large_denominator_take_a_few_roots():
+    # a whole CHUNK of cube roots of n**1000 took about 3 s
+    t0 = time.perf_counter()
+    a = power_set(Fraction(3, 1000)).term(2)
+    assert time.perf_counter() - t0 < 0.2
+    assert a**3 <= 2**1000 < (a + 1) ** 3
 
 
 @pytest.mark.parametrize(
@@ -740,7 +763,7 @@ def _text_parse(path: str):
     """The values, or the error message, of the text-mode parse that reads
     every line as `str`, which the bytes parse of `from_file` must match."""
     try:
-        with open(path) as fp:
+        with open(path, errors="surrogateescape") as fp:
             return sets._parse_lines(path, fp)
     except DataFormatError as exc:
         return str(exc)
@@ -767,11 +790,21 @@ def _text_parse(path: str):
         # values on both sides of 2**63, in order and with one past it too early
         (f"1\n{2**63 - 1}\n{2**63}\n".encode(), [1, 2**63 - 1, 2**63]),
         (f"1\n{2**64}\n5\n".encode(), f"3: values must be strictly increasing (5 after {2**64})"),
+        # plain decimal lines, which the numpy digit columns parse
+        (b"8\n9\n10\n9\n", "4: values must be strictly increasing (9 after 10)"),
+        (b"0\n1\n", "1: values must be >= 1"),
+        (b"1\n2", [1, 2]),
+        (b"7\n", [7]),
+        (f"{10**17}\n{10**18 - 1}\n{10**18}\n".encode(), [10**17, 10**18 - 1, 10**18]),
+        # a leading zero on every other line: more runs of equal-length lines
+        # than the digit columns take
+        ("".join(f"{'0' * (i % 2)}{i}\n" for i in range(1, 200)).encode(), list(range(1, 200))),
     ],
     ids=[
         "crlf", "spaces-and-tabs", "x1c", "arabic-indic-digits", "bom", "past-2**63",
         "blank-line", "non-integer", "disorder", "lone-cr-disorder", "lone-cr-blank",
-        "across-2**63", "disorder-past-2**63",
+        "across-2**63", "disorder-past-2**63", "plain-disorder", "plain-zero-first",
+        "no-final-newline", "single-line", "18-and-19-digits", "runs-past-the-cap",
     ],
 )
 def test_from_file_parses_as_the_text_parse_does(tmp_path, content, want):
@@ -785,6 +818,56 @@ def test_from_file_parses_as_the_text_parse_does(tmp_path, content, want):
     except DataFormatError as exc:
         got = str(exc)
     assert got == want
+
+
+_ODD_BYTES = [b"\n", b"\r", b" ", b"\t", b"+", b"-", b"_", b"\x1c", b"\xa0", b"\xff", b"0"]
+_EDGE_VALUES = [0, 1, 10**17 - 1, 10**17, 10**18 - 1, 10**18, 10**19 - 1, 10**19,
+                2**63 - 1, 2**63, 2**63 + 1, 10**20]
+
+
+@st.composite
+def set_files(draw):
+    """The bytes of a set file: decimal lines, sorted or not, some with
+    leading zeros, odd bytes and blank lines put in, the final newline kept
+    or not."""
+    digits = st.integers(1, 18).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k - 1))
+    values = draw(st.lists(digits, max_size=40))
+    values += draw(st.lists(st.sampled_from(_EDGE_VALUES), max_size=2))
+    if draw(st.booleans()):
+        values = sorted(set(values))
+    lines = [b"0" * draw(st.sampled_from([0] * 8 + [1, 2])) + b"%d" % v for v in values]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(lines)))
+        if i == len(lines) or draw(st.booleans()):
+            lines.insert(i, b"")  # a blank line
+        else:
+            j = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:j] + draw(st.sampled_from(_ODD_BYTES)) + lines[i][j:]
+    return b"\n".join(lines) + draw(st.sampled_from([b"\n", b"\n", b""]))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(set_files())
+def test_from_file_matches_the_text_parse_on_drawn_files(tmp_path, content):
+    path = tmp_path / "f.txt"
+    path.write_bytes(content)
+    want = _text_parse(str(path)) or f"{path}: no values found"
+    try:
+        a = from_file(str(path))
+        got = a.prefix(len(a._buf))
+    except DataFormatError as exc:
+        got = str(exc)
+    assert got == want
+    # the digit columns take every file of plain lines of 1 to 18 digits
+    plain = re.fullmatch(rb"([0-9]{1,18}\n)+", content) is not None
+    assert (sets._plain_decimal(content) is not None) == plain
+
+
+def test_digit_columns_decline_a_file_past_the_run_cap():
+    # the values need not rise here: the runs are of equal-length lines
+    assert sets._plain_decimal(b"1\n22\n" * 32).tolist() == [1, 22] * 32  # 64 runs
+    assert sets._plain_decimal(b"1\n22\n" * 32 + b"1\n") is None
 
 
 def test_from_file_names_a_line_that_is_not_utf8(tmp_path):
