@@ -761,7 +761,8 @@ def test_from_file_refuses_values_below_one(tmp_path):
 
 def _text_parse(path: str):
     """The values, or the error message, of the text-mode parse that reads
-    every line as `str`, which the bytes parse of `from_file` must match."""
+    every line as `str`, which the digit-column and bytes parses of
+    `from_file` must match."""
     try:
         with open(path, errors="surrogateescape") as fp:
             return sets._parse_lines(path, fp)
