@@ -3,19 +3,21 @@
 For whole-range scans (classifying every n up to 1e7, say) per-n factorization
 is far too slow in Python.  Instead each block [lo, hi) is swept by the primes
 p <= sqrt(hi), the segmented-sieve idiom, cut into pieces at the sorted
-smooth bounds, each piece in two tiers split at the constant T.  A prime
-p <= T has at least BLOCK / T multiples in a block, so `_sweep_small` gives
-each its own Python step of in-place numpy operations on strided views
-`arr[(-lo % p**k)::p**k]`: counters get `+= 1` on each prime-power view,
-`value` gets `*= p`, and the fields that need the whole exponent take it
-from a per-prime exponent array.  The primes above T have fewer multiples,
-so `_sweep_large` handles all of a piece's in one vectorised pass, the
-bucket sieve of Oliveira e Silva, Herzog & Pardi (*Math. Comp.* 83, 2014):
-their multiples' positions come from `np.repeat` and `cumsum`, the rare
-exponents above 1 from division at the multiples of p**2, and the fields
-from `np.add.at` and its kin.  The running product `value` of extracted
-prime powers divides n, so `value < n` exposes the (at most one) remaining
-prime factor > sqrt(hi) as a cofactor.  After the piece that ends at a bound
+smooth bounds, each piece in two tiers split at the constant P0.  The dense
+primes p <= P0 divide so many n that `_sweep_small` gives each power p**k
+its own in-place numpy steps on the strided view `arr[(-lo % p**k)::p**k]`:
+counters get `+= 1`, `value` gets `*= p`, and the fields that need the whole
+exponent take it from a per-prime exponent array.  `_sweep_sparse` takes the
+rest, in the way of the bucket sieve of Oliveira e Silva, Herzog & Pardi
+(*Math. Comp.* 83, 2014): a first power p <= T gets two strided steps, one on
+`value` and one on a count of the sparse primes dividing n; the positions of
+the fewer multiples of all p > T come from `np.repeat` and `cumsum`; and the
+exponents above 1, rare as p**2 > P0**2, come from division at the multiples
+of p**2 of the primes that hit the block, all at once.  The fields follow
+from the count and those exponents by `np.add.at` and its kin.  The running
+product `value` of extracted prime powers divides n, so it is int32 when
+hi < 2**31, and `value < n` exposes the (at most one) remaining prime
+factor > sqrt(hi) as a cofactor.  After the piece that ends at a bound
 p0, `value` holds every prime up to min(p0, sqrt(hi)) and no larger one, so
 the p0-smooth mask `n // value <= p0` is read there as `n // (p0 + 1) <
 value`, one division by a scalar.  The `ap_primes` valuations are strided
@@ -57,8 +59,9 @@ FIELD_NAMES = frozenset({*_SWEPT, "exp_gcd"})
 _LIMIT_CAP = 1 << 63  # the field dtypes below are exact for n < 2**63
 BLOCK = 1 << 17  # integers per block: an int64 array of it is 1 MB
 PRIME_BOUND_CAP = 1 << 26  # largest bound small_primes sieves to
-# primes up to T are swept one by one through strided views, the larger
-# ones all at once by _sweep_large
+# the primes up to P0 have every power strided; the sparse ones above it
+# have their first power strided up to T and taken by positions above T
+P0 = 13
 T = 300
 _SEGMENT = 1 << 21  # integers per small_primes segment: 2**20 odd-number flags
 
@@ -193,22 +196,24 @@ def iter_blocks(
                 pk *= p
 
         if need_full:
-            # running product of the prime powers found so far; it divides n
-            value = np.ones(size, dtype=np.int64)
+            # the running product of the prime powers found so far divides n:
+            # int32 holds it, n and the divisors below when hi < 2**31
+            value = np.ones(size, dtype=np.int32 if hi < 1 << 31 else np.int64)
+            n_val = n_arr.astype(value.dtype, copy=False) if bounds else n_arr
             swept = primes[: np.searchsorted(primes, math.isqrt(hi - 1), side="right")]
             pieces = np.split(swept, np.searchsorted(swept, bounds, side="right"))
             for i, piece in enumerate(pieces):
-                cut = np.searchsorted(piece, T, side="right")
+                cut = np.searchsorted(piece, P0, side="right")
                 _sweep_small(stats, value, piece[:cut].tolist())
-                _sweep_large(stats, value, piece[cut:])
+                _sweep_sparse(stats, value, piece[cut:])
                 if i < len(bounds):
                     # n // value <= p0 by a scalar divisor, clipped to
-                    # [0, limit], which keeps the mask exact and in int64
+                    # [0, hi - 1], which keeps the mask exact and in range
                     p0 = bounds[i]
-                    div = min(max(p0, 0), limit) + 1
-                    stats.smooth_ok[p0] = n_arr // div < value
+                    div = min(max(p0, 0), hi - 1) + 1
+                    stats.smooth_ok[p0] = n_val // div < value
             # the cofactor n / value is 1 or a single prime > sqrt(hi)
-            has_rem = value < n_arr
+            has_rem = value < n_val
             if stats.h_min is not None:
                 # h_min is in [1, 127]: 1 on the mask, faster than putmask
                 np.minimum(stats.h_min, 127 - 126 * has_rem.view(np.int8), out=stats.h_min)
@@ -225,8 +230,8 @@ def iter_blocks(
 
 
 def _sweep_small(stats: BlockStats, value: np.ndarray, primes: list[int]) -> None:
-    """Sweep one block with primes up to T, each through the strided views of
-    its powers' multiples."""
+    """Sweep one block with the dense primes, those up to P0, each through
+    the strided views of its powers' multiples."""
     lo, size = stats.lo, stats.hi - stats.lo
     # fields that combine whole exponents, which a p**k view alone cannot give
     need_exp = any(a is not None for a in (stats.h_min, stats.h_max, stats.div_count))
@@ -270,12 +275,11 @@ def _multiples(
     return np.repeat(off, cnt) + j * steps, steps
 
 
-def _sweep_large(stats: BlockStats, value: np.ndarray, primes: np.ndarray) -> None:
-    """Sweep one block with the primes above T, all at most sqrt(hi), in one
-    pass over all their multiples: each has fewer than size / T multiples,
-    so a Python step per prime would cost more than its array work.
-    Exponents above 1 are rare (p**2 > T**2 at least) and are found by
-    division at the multiples of p**2."""
+def _sweep_sparse(stats: BlockStats, value: np.ndarray, primes: np.ndarray) -> None:
+    """Sweep one block with the primes above P0, all at most sqrt(hi): the
+    first powers up to T by strided views, those above T (fewer than size / T
+    multiples each) in one pass over their positions, and every exponent
+    above 1 in one pass of division at the multiples of p**2."""
     if not len(primes):
         return
     lo, size = stats.lo, stats.hi - stats.lo
@@ -284,8 +288,19 @@ def _sweep_large(stats: BlockStats, value: np.ndarray, primes: np.ndarray) -> No
     off = np.empty(len(primes), dtype=np.int32)
     np.remainder(-lo, primes, out=off, casting="unsafe")
     hit = off < size
+    # only these have multiples here; squaring all near the cap costs 100 MB
     p, off = primes[hit], off[hit]
-    pos, p_at = _multiples(off, p, (size - 1 - off) // p + 1)
+    fields = (stats.omega, stats.big_omega, stats.h_min, stats.h_max, stats.div_count)
+    cnt = np.zeros(size, dtype=np.int8) if any(a is not None for a in fields) else None
+    mid = int(np.searchsorted(p, T, side="right"))
+    for prime, o in zip(p[:mid].tolist(), off[:mid].tolist()):
+        view = value[o::prime]
+        view *= prime
+        if cnt is not None:
+            view = cnt[o::prime]
+            view += 1
+    pos, p_at = _multiples(off[mid:], p[mid:], (size - 1 - off[mid:]) // p[mid:] + 1)
+    np.multiply.at(value, pos, p_at.astype(value.dtype))
     p2 = p * p  # below 2**63, as p <= isqrt(limit)
     off2 = np.remainder(-lo, p2)
     cnt2 = (size - 1 - off2) // p2 + 1
@@ -298,24 +313,25 @@ def _sweep_large(stats: BlockStats, value: np.ndarray, primes: np.ndarray) -> No
         e += divides
         rest[divides] //= q[divides]
         divides = rest % q == 0
+    np.multiply.at(value, pos2, (q ** (e - 1)).astype(value.dtype))
+    if cnt is None:
+        return
 
-    # large prime factors of each n, then those of exponent 1
-    simple = np.zeros(size, dtype=np.int8)
-    np.add.at(simple, pos, np.ones(len(pos), dtype=np.int8))
+    # sparse prime factors of each n, then those of exponent 1; ufunc.at is
+    # fast only with an array operand of the target's dtype
+    np.add.at(cnt, pos, np.ones(len(pos), dtype=np.int8))
     if stats.omega is not None:
-        stats.omega += simple
-    np.subtract.at(simple, pos2, np.ones(len(pos2), dtype=np.int8))
+        stats.omega += cnt
+    np.subtract.at(cnt, pos2, np.ones(len(pos2), dtype=np.int8))
     if stats.big_omega is not None:
-        stats.big_omega += simple
+        stats.big_omega += cnt
         np.add.at(stats.big_omega, pos2, e)
     if stats.h_min is not None:
-        np.minimum(stats.h_min, 127 - 126 * (simple > 0).view(np.int8), out=stats.h_min)
+        np.minimum(stats.h_min, 127 - 126 * (cnt > 0).view(np.int8), out=stats.h_min)
         np.minimum.at(stats.h_min, pos2, e)
     if stats.h_max is not None:
-        np.maximum(stats.h_max, simple > 0, out=stats.h_max)
+        np.maximum(stats.h_max, cnt > 0, out=stats.h_max)
         np.maximum.at(stats.h_max, pos2, e)
     if stats.div_count is not None:
-        stats.div_count <<= simple
+        stats.div_count <<= cnt
         np.multiply.at(stats.div_count, pos2, e.astype(np.int32) + 1)
-    np.multiply.at(value, pos, p_at)
-    np.multiply.at(value, pos2, q ** (e - 1))

@@ -596,8 +596,12 @@ class Tally:
         if pending or (1 << len(self.rows)) <= self.total + m:
             self.absorb(np.flatnonzero(mask) + lo, upto)
         elif m:
-            # the last true byte; argmax over mask[::-1] would copy the mask
-            self.last_member = lo + mask.tobytes().rfind(1)
+            # the last true entry, in tail windows that double until one
+            # holds it: no copy of the whole mask, as most blocks end dense
+            w = 256
+            while not mask[-w:].any():
+                w *= 2
+            self.last_member = lo + len(mask) - 1 - int(mask[-w:][::-1].argmax())
             self.total += m
 
     def final_rows(self) -> list[RatioRow]:

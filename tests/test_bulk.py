@@ -18,10 +18,12 @@ TOP = 20_000
 # 2, 3 and 7 divide often; 131 sits just under sqrt(TOP) and 1009 above it,
 # and above bulk.T
 AP_PRIMES = (2, 3, 7, 131, 1009)
-# 211 is a smooth bound above sqrt(TOP), read after the whole sweep there;
-# 293, the largest prime up to bulk.T, ends a piece at the tier boundary
-# near 10**9, and 331, one above bulk.T, is read between the batched primes
-SMOOTH_BOUNDS = (2, 3, 7, 211, 293, 331)
+# 13, bulk.P0 itself, ends a piece at the dense tier's end, and 17 is read
+# between the strided first powers; 211 is a smooth bound above sqrt(TOP),
+# read after the whole sweep there; 293, the largest prime up to bulk.T,
+# ends a piece at the strided first powers' end near 10**9, and 331, one
+# above bulk.T, is read between the batched primes
+SMOOTH_BOUNDS = (2, 3, 7, 13, 17, 211, 293, 331)
 
 
 def expected(n: int) -> dict:
@@ -115,22 +117,25 @@ def test_block_near_two_to_the_36():
     assert got["h_max"].max() == 36 and got["div_count"].max() == 512
 
 
-def _straddling_t() -> tuple[int, ...]:
-    """The two primes below bulk.T and the two above it."""
-    below = bulk.small_primes(bulk.T)[-2:].tolist()
-    above = bulk.small_primes(2 * bulk.T, start=bulk.T + 1)[:2].tolist()
+def _straddling_t(cut: int) -> tuple[int, ...]:
+    """The two primes up to `cut` (bulk.P0 or bulk.T) and the two above it."""
+    below = bulk.small_primes(cut)[-2:].tolist()
+    above = bulk.small_primes(2 * cut, start=cut + 1)[:2].tolist()
     return (*below, *above)
 
 
 def _window_centers() -> list[int]:
-    qs = _straddling_t()
-    centers = [q**2 for q in qs] + [q**3 for q in qs]
-    # q**2 * r with r a prime on the other side of bulk.T
-    centers += [q**2 * qs[3 - i] for i, q in enumerate(qs)]
+    centers = []
+    for cut in (bulk.P0, bulk.T):
+        qs = _straddling_t(cut)
+        centers += [q**2 for q in qs] + [q**3 for q in qs]
+        # q**2 * r with r a prime on the other side of the cut
+        centers += [q**2 * qs[3 - i] for i, q in enumerate(qs)]
     return centers + [
         307**2 * 331 * 31,  # 331-smooth, near 10**9
         1009**2 * 991,  # ap[1009] = 2, near 10**9
         10**9 + 7,  # a prime
+        2**31,  # `value` is int32 in blocks below 2**31, int64 from it
         10**12,  # 2**12 * 5**12
         1009**3 * 977,  # ap[1009] = 3, near 10**12
     ]
@@ -139,8 +144,10 @@ def _window_centers() -> list[int]:
 @pytest.mark.parametrize("center", _window_centers())
 @pytest.mark.parametrize("block_size", [1, 7, 64])
 def test_windows_across_the_batched_primes(center, block_size):
-    # the primes above bulk.T are swept all at once; the windows hold their
-    # squares, cubes and square multiples, and start at an odd n
+    # the primes above bulk.P0 have their exponents above 1 found all at
+    # once, and those above bulk.T their multiples too; the windows hold the
+    # squares, cubes and square multiples of the primes on either side of
+    # both cuts, and start at an odd n
     lo = (center - 20) | 1
     got = scanned(lo + 40, start=lo, block_size=block_size)
     for key, col in window_columns(lo, lo + 40).items():
@@ -264,3 +271,15 @@ def test_smooth_bounds_past_either_end():
         assert not stats.smooth_ok[b].any()
     for b in (1000, 2**64):
         assert stats.smooth_ok[b].all()
+
+
+@pytest.mark.parametrize("block_size", [1, 7, 64])
+def test_smooth_bounds_near_two_to_the_31(block_size):
+    # below 2**31 the masks divide n in int32, so a bound's divisor is
+    # clipped to hi; 2**31 - 1 is prime, smooth from the bound 2**31 - 1 on
+    lo, hi = 2**31 - 40, 2**31 + 24
+    bounds = (2**31 - 3, 2**31 - 2, 2**31 - 1, 2**31, 2**40)
+    for stats in iter_blocks(hi, frozenset(), smooth_bounds=bounds, start=lo, block_size=block_size):
+        for b in bounds:
+            want = [trial_factorize(n)[-1][0] <= b for n in range(stats.lo, stats.hi)]
+            np.testing.assert_array_equal(stats.smooth_ok[b], want, err_msg=str(b))

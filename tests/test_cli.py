@@ -600,16 +600,20 @@ def test_fn_omega_at_three_billion(capsys):
     assert code == 0 and err == "" and out == "n,value\n3000000000,3\n"
 
 
-def test_fn_omega_near_the_sieve_cap(capsys):
+# 2**52 - 1 = 3 * 5 * 53 * 157 * 1613 * 2731 * 8191
+@pytest.mark.parametrize("name, value", [("omega", 7), ("d", 128), ("H", 1)])
+def test_fn_omega_near_the_sieve_cap(capsys, name, value):
     # one integer below 2**52 sweeps the 3.9 million primes below 2**26; as
-    # Python ints they would take about 140 MB, as an int64 array 31 MB
+    # Python ints they would take about 140 MB, as an int64 array 31 MB.  The
+    # exponent fields square only the primes that hit the block: squaring
+    # them all would peak at about 160 MB
     tracemalloc.start()
     try:
-        code, out, err = run(capsys, "fn", "omega", str(2**52 - 1), "--output", "csv")
+        code, out, err = run(capsys, "fn", name, str(2**52 - 1), "--output", "csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0 and err == "" and out == f"n,value\n{2**52 - 1},7\n"
+    assert code == 0 and err == "" and out == f"n,value\n{2**52 - 1},{value}\n"
     assert peak < 100 * 2**20
 
 

@@ -545,6 +545,24 @@ def test_absorb_mask_equals_absorb_of_listed_members(seed):
     assert by_mask.final_rows() == by_list.final_rows()
 
 
+@pytest.mark.parametrize("size", [1, 4097, BLOCK])
+@pytest.mark.parametrize("where", ["first", "middle", "last", "before the tail"])
+def test_count_only_block_finds_its_last_member(size, where):
+    # the last true entry is searched in tail windows that double from 256;
+    # "before the tail" puts it in front of the first few windows
+    last = {"first": 0, "middle": size // 2, "last": size - 1}.get(where, size - 5000)
+    last = max(last, 0)
+    mask = np.zeros(size, dtype=bool)
+    mask[: last + 1 : 3] = True
+    mask[last] = True
+    # rows up to k = 2**40 leave the next rank past any count here
+    tally = convergence_mod.Tally(rows=[convergence_mod.RatioRow(1, 2, 0.0)] * 40)
+    tally.absorb_mask(mask, 10, 10 + size)
+    assert tally.rows == [convergence_mod.RatioRow(1, 2, 0.0)] * 40
+    assert tally.total == np.count_nonzero(mask)
+    assert tally.last_member == 10 + np.flatnonzero(mask)[-1]
+
+
 def _listed_report(spec, eps, limit, xs):
     """A(x) at xs, and the rows at k = 1, 2, 4, ... and the final member, from
     the members that `exceptional_members` lists."""
